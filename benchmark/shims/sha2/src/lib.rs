@@ -1,0 +1,413 @@
+//! Offline stand-in for `sha2` 0.10: portable (no SHA-NI) SHA-256 and
+//! SHA-512 behind a `Digest` trait with `new`/`update`/`finalize`/
+//! `digest`. `finalize` returns an [`Output`] that converts `into()` a
+//! byte array, like the real crate's `GenericArray`.
+
+/// A finished hash of `N` bytes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Output<const N: usize>(pub [u8; N]);
+
+impl<const N: usize> From<Output<N>> for [u8; N] {
+    fn from(o: Output<N>) -> [u8; N] {
+        o.0
+    }
+}
+
+impl<const N: usize> std::ops::Deref for Output<N> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl<const N: usize> AsRef<[u8]> for Output<N> {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+/// The hashing interface (`sha2::Digest`).
+pub trait Digest: Sized {
+    /// The finished hash.
+    type Output;
+    fn new() -> Self;
+    fn update(&mut self, data: impl AsRef<[u8]>);
+    fn finalize(self) -> Self::Output;
+    /// One-shot hash of `data`.
+    fn digest(data: impl AsRef<[u8]>) -> Self::Output {
+        let mut h = Self::new();
+        h.update(data);
+        h.finalize()
+    }
+}
+
+const K256: [u32; 64] = [
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5, 0xd807aa98,
+    0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
+    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8,
+    0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
+    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819,
+    0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
+    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+    0xc67178f2,
+];
+
+/// Incremental SHA-256.
+#[derive(Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    block: [u8; 64],
+    filled: usize,
+    total: u64,
+}
+
+fn compress256(state: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K256[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+impl Digest for Sha256 {
+    type Output = Output<32>;
+
+    fn new() -> Self {
+        Sha256 {
+            state: [
+                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+            ],
+            block: [0; 64],
+            filled: 0,
+            total: 0,
+        }
+    }
+
+    fn update(&mut self, data: impl AsRef<[u8]>) {
+        let mut data = data.as_ref();
+        self.total = self.total.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let take = (64 - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return;
+            }
+            compress256(&mut self.state, &self.block);
+            self.filled = 0;
+        }
+        let mut chunks = data.chunks_exact(64);
+        for chunk in &mut chunks {
+            compress256(&mut self.state, chunk);
+        }
+        let rest = chunks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    fn finalize(mut self) -> Output<32> {
+        let bits = self.total.wrapping_mul(8);
+        self.block[self.filled] = 0x80;
+        self.block[self.filled + 1..].fill(0);
+        if self.filled >= 56 {
+            compress256(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bits.to_be_bytes());
+        compress256(&mut self.state, &self.block);
+        let mut out = [0u8; 32];
+        for (o, s) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&s.to_be_bytes());
+        }
+        Output(out)
+    }
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+const K512: [u64; 80] = [
+    0x428a2f98d728ae22,
+    0x7137449123ef65cd,
+    0xb5c0fbcfec4d3b2f,
+    0xe9b5dba58189dbbc,
+    0x3956c25bf348b538,
+    0x59f111f1b605d019,
+    0x923f82a4af194f9b,
+    0xab1c5ed5da6d8118,
+    0xd807aa98a3030242,
+    0x12835b0145706fbe,
+    0x243185be4ee4b28c,
+    0x550c7dc3d5ffb4e2,
+    0x72be5d74f27b896f,
+    0x80deb1fe3b1696b1,
+    0x9bdc06a725c71235,
+    0xc19bf174cf692694,
+    0xe49b69c19ef14ad2,
+    0xefbe4786384f25e3,
+    0x0fc19dc68b8cd5b5,
+    0x240ca1cc77ac9c65,
+    0x2de92c6f592b0275,
+    0x4a7484aa6ea6e483,
+    0x5cb0a9dcbd41fbd4,
+    0x76f988da831153b5,
+    0x983e5152ee66dfab,
+    0xa831c66d2db43210,
+    0xb00327c898fb213f,
+    0xbf597fc7beef0ee4,
+    0xc6e00bf33da88fc2,
+    0xd5a79147930aa725,
+    0x06ca6351e003826f,
+    0x142929670a0e6e70,
+    0x27b70a8546d22ffc,
+    0x2e1b21385c26c926,
+    0x4d2c6dfc5ac42aed,
+    0x53380d139d95b3df,
+    0x650a73548baf63de,
+    0x766a0abb3c77b2a8,
+    0x81c2c92e47edaee6,
+    0x92722c851482353b,
+    0xa2bfe8a14cf10364,
+    0xa81a664bbc423001,
+    0xc24b8b70d0f89791,
+    0xc76c51a30654be30,
+    0xd192e819d6ef5218,
+    0xd69906245565a910,
+    0xf40e35855771202a,
+    0x106aa07032bbd1b8,
+    0x19a4c116b8d2d0c8,
+    0x1e376c085141ab53,
+    0x2748774cdf8eeb99,
+    0x34b0bcb5e19b48a8,
+    0x391c0cb3c5c95a63,
+    0x4ed8aa4ae3418acb,
+    0x5b9cca4f7763e373,
+    0x682e6ff3d6b2b8a3,
+    0x748f82ee5defb2fc,
+    0x78a5636f43172f60,
+    0x84c87814a1f0ab72,
+    0x8cc702081a6439ec,
+    0x90befffa23631e28,
+    0xa4506cebde82bde9,
+    0xbef9a3f7b2c67915,
+    0xc67178f2e372532b,
+    0xca273eceea26619c,
+    0xd186b8c721c0c207,
+    0xeada7dd6cde0eb1e,
+    0xf57d4f7fee6ed178,
+    0x06f067aa72176fba,
+    0x0a637dc5a2c898a6,
+    0x113f9804bef90dae,
+    0x1b710b35131c471b,
+    0x28db77f523047d84,
+    0x32caab7b40c72493,
+    0x3c9ebe0a15c9bebc,
+    0x431d67c49c100d4c,
+    0x4cc5d4becb3e42b6,
+    0x597f299cfc657e2a,
+    0x5fcb6fab3ad6faec,
+    0x6c44198c4a475817,
+];
+
+/// Incremental SHA-512.
+#[derive(Clone)]
+pub struct Sha512 {
+    state: [u64; 8],
+    block: [u8; 128],
+    filled: usize,
+    total: u128,
+}
+
+fn compress512(state: &mut [u64; 8], block: &[u8]) {
+    let mut w = [0u64; 80];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(8)) {
+        *wi = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+    }
+    for i in 16..80 {
+        let s0 = w[i - 15].rotate_right(1) ^ w[i - 15].rotate_right(8) ^ (w[i - 15] >> 7);
+        let s1 = w[i - 2].rotate_right(19) ^ w[i - 2].rotate_right(61) ^ (w[i - 2] >> 6);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..80 {
+        let s1 = e.rotate_right(14) ^ e.rotate_right(18) ^ e.rotate_right(41);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K512[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+impl Digest for Sha512 {
+    type Output = Output<64>;
+
+    fn new() -> Self {
+        Sha512 {
+            state: [
+                0x6a09e667f3bcc908,
+                0xbb67ae8584caa73b,
+                0x3c6ef372fe94f82b,
+                0xa54ff53a5f1d36f1,
+                0x510e527fade682d1,
+                0x9b05688c2b3e6c1f,
+                0x1f83d9abfb41bd6b,
+                0x5be0cd19137e2179,
+            ],
+            block: [0; 128],
+            filled: 0,
+            total: 0,
+        }
+    }
+
+    fn update(&mut self, data: impl AsRef<[u8]>) {
+        let mut data = data.as_ref();
+        self.total = self.total.wrapping_add(data.len() as u128);
+        if self.filled > 0 {
+            let take = (128 - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 128 {
+                return;
+            }
+            compress512(&mut self.state, &self.block);
+            self.filled = 0;
+        }
+        let mut chunks = data.chunks_exact(128);
+        for chunk in &mut chunks {
+            compress512(&mut self.state, chunk);
+        }
+        let rest = chunks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    fn finalize(mut self) -> Output<64> {
+        let bits = self.total.wrapping_mul(8);
+        self.block[self.filled] = 0x80;
+        self.block[self.filled + 1..].fill(0);
+        if self.filled >= 112 {
+            compress512(&mut self.state, &self.block);
+            self.block.fill(0);
+        }
+        self.block[112..].copy_from_slice(&bits.to_be_bytes());
+        compress512(&mut self.state, &self.block);
+        let mut out = [0u8; 64];
+        for (o, s) in out.chunks_exact_mut(8).zip(self.state) {
+            o.copy_from_slice(&s.to_be_bytes());
+        }
+        Output(out)
+    }
+}
+
+impl Default for Sha512 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn sha256_known_answers() {
+        assert_eq!(
+            hex(&Sha256::digest(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex(&Sha256::digest(b"")),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        );
+        assert_eq!(
+            hex(&Sha256::digest(
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
+            )),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+    }
+
+    #[test]
+    fn sha512_known_answers() {
+        assert_eq!(
+            hex(&Sha512::digest(b"abc")),
+            "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
+             2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
+        );
+        assert_eq!(
+            hex(&Sha512::digest(b"")),
+            "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce\
+             47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"
+        );
+    }
+
+    #[test]
+    fn split_updates_equal_one_shot_at_every_boundary() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        let whole256 = Sha256::digest(&data);
+        let whole512 = Sha512::digest(&data);
+        for cut in [0, 1, 55, 56, 63, 64, 65, 111, 112, 127, 128, 129, 299, 300] {
+            let mut a = Sha256::new();
+            a.update(&data[..cut]);
+            a.update(&data[cut..]);
+            assert_eq!(a.finalize(), whole256, "sha256 cut {cut}");
+            let mut b = Sha512::new();
+            b.update(&data[..cut]);
+            b.update(&data[cut..]);
+            assert_eq!(b.finalize(), whole512, "sha512 cut {cut}");
+        }
+    }
+}
