@@ -21,7 +21,7 @@
 //! then rebuild a fresh replica over the surviving [`MemDisk`], whose
 //! recovery handshake must rejoin it via certified state transfer.
 
-use crate::harness::{Protocol, RunConfig, GROUP};
+use crate::harness::{build, Protocol, RunParams, GROUP};
 use neo_aom::{AuthMode, ConfigService, SequencerHw, SequencerNode};
 use neo_app::{EchoApp, EchoWorkload};
 use neo_baselines::PbftClient;
@@ -533,14 +533,13 @@ fn flight_snapshot(
 /// client completing request ids out of order would mean the *harness*
 /// is broken, not the protocol).
 pub fn run_pbft_control(plan: &ChaosPlan) -> (u64, Vec<String>) {
-    let mut sim = RunConfig::new(Protocol::Pbft)
-        .clients(plan.n_clients)
-        .seed(plan.seed)
-        .costs(CostModel::FREE)
-        .cpus(CpuConfig::IDEAL, CpuConfig::IDEAL)
-        .window(0, plan.horizon_ns)
-        .faults(plan.faults.clone())
-        .build();
+    let mut params = RunParams::new(Protocol::Pbft, plan.n_clients);
+    params.seed = plan.seed;
+    params.costs = CostModel::FREE;
+    params.server_cpu = CpuConfig::IDEAL;
+    params.client_cpu = CpuConfig::IDEAL;
+    params.faults = plan.faults.clone();
+    let mut sim = build(&params);
     sim.run_until(plan.horizon_ns + plan.horizon_ns / 2);
     let mut committed = 0u64;
     let mut anomalies = Vec::new();

@@ -16,7 +16,7 @@ use neo_baselines::{
 use neo_core::{BatchPolicy, Client, CompletedOp, NeoConfig, Replica};
 use neo_crypto::{CostModel, SystemKeys};
 use neo_sim::obs::{MetricsSnapshot, ObsConfig};
-use neo_sim::{CpuConfig, FaultPlan, NetConfig, SimConfig, Simulator, MILLIS, SECS};
+use neo_sim::{CpuConfig, FaultPlan, NetConfig, SimConfig, Simulator, MILLIS};
 use neo_switch::{FpgaModel, TofinoModel};
 use neo_wire::{Addr, ClientId, GroupId, ReplicaId};
 
@@ -117,7 +117,7 @@ impl AppKind {
 /// request emits a handful of events per node), shallow enough to keep a
 /// sweep's memory bounded. Rings keep the most recent records, so on
 /// overflow the report simply covers the tail of the run.
-pub const DEFAULT_TRACE_CAPACITY: usize = 32_768;
+const DEFAULT_TRACE_CAPACITY: usize = 32_768;
 
 /// Parameters of one experiment run.
 #[derive(Clone, Debug)]
@@ -160,10 +160,9 @@ pub struct RunParams {
     /// Verify-stage lane override (NeoBFT only). `None` follows the
     /// batch policy's default; `Some(0)` forces the serial lane;
     /// `Some(w)` forces the pipelined lane with `w` modeled verify
-    /// workers (the replica CPU's worker-core count is set to `w`, the
-    /// axis swept by `verify_sweep`). The simulator models the pool
-    /// with the meter — `NeoConfig::verify_workers` stays 0 so runs
-    /// remain deterministic.
+    /// workers (the replica CPU's worker-core count is set to `w`). The
+    /// simulator models the pool with the meter —
+    /// `NeoConfig::verify_workers` stays 0 so runs remain deterministic.
     pub verify_lane: Option<usize>,
 }
 
@@ -211,44 +210,6 @@ pub struct ObsReport {
     pub replicas: Vec<MetricsSnapshot>,
 }
 
-/// Payload copy/allocation accounting over one run's window, derived
-/// from the process-wide [`neo_wire::PayloadStats`] counters. Makes
-/// copy regressions visible in `BENCH_*.json`: a fan-out that encodes
-/// per destination shows up as a jump in `allocs_per_op`.
-#[derive(Clone, Copy, Debug, Default, serde::Serialize)]
-pub struct CopyReport {
-    /// Payload buffers allocated (one per encoded wire message).
-    pub payload_allocations: u64,
-    /// Bytes copied into payload buffers.
-    pub payload_bytes: u64,
-    /// Payload refcount bumps (broadcast fan-out and reply caching).
-    pub payload_clones: u64,
-    /// Bytes copied into payloads per committed op.
-    pub bytes_per_op: f64,
-    /// Payload allocations per committed op.
-    pub allocs_per_op: f64,
-}
-
-impl CopyReport {
-    /// Build from a windowed counter delta and the ops committed in it.
-    pub fn from_delta(delta: neo_wire::PayloadStats, committed: u64) -> CopyReport {
-        let per = |v: u64| {
-            if committed == 0 {
-                0.0
-            } else {
-                v as f64 / committed as f64
-            }
-        };
-        CopyReport {
-            payload_allocations: delta.allocations,
-            payload_bytes: delta.allocated_bytes,
-            payload_clones: delta.clones,
-            bytes_per_op: per(delta.allocated_bytes),
-            allocs_per_op: per(delta.allocations),
-        }
-    }
-}
-
 /// Measured outcome of one run.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct RunResult {
@@ -268,8 +229,6 @@ pub struct RunResult {
     /// Phase breakdown: event counters, named counters, and latency
     /// histograms, per replica and aggregated.
     pub obs: ObsReport,
-    /// Payload bytes-copied / allocation accounting over the run.
-    pub copy: CopyReport,
     /// Per-request lifecycle spans assembled from the event trace:
     /// per-phase latency histograms (send → stamp → deliver → exec →
     /// reply → commit). `None` when tracing was disabled for the run.
@@ -306,7 +265,6 @@ impl RunResult {
             p99_latency_ns: pct(0.99),
             latencies_ns: lats,
             obs: ObsReport::default(),
-            copy: CopyReport::default(),
             trace: None,
         }
     }
@@ -315,19 +273,8 @@ impl RunResult {
 /// Execute one experiment.
 pub fn run_experiment(params: &RunParams) -> RunResult {
     let mut sim = build(params);
-    let end = params.warmup + params.measure;
-    // Window the process-wide payload counters around the run; tests
-    // running in parallel can inflate the window, so the report is a
-    // diagnostic, not an exact assertion target.
-    let before = neo_wire::PayloadStats::snapshot();
-    let events = sim.run_until(end);
-    if std::env::var_os("NEO_BENCH_DEBUG").is_some() {
-        eprintln!("[debug] {events} events");
-    }
-    let delta = neo_wire::PayloadStats::snapshot().since(&before);
-    let mut result = collect(&sim, params);
-    result.copy = CopyReport::from_delta(delta, result.committed);
-    result
+    sim.run_until(params.warmup + params.measure);
+    collect(&sim, params)
 }
 
 /// Build the simulator for an experiment without running it (failover
@@ -418,7 +365,7 @@ fn neo_config(params: &RunParams) -> NeoConfig {
 }
 
 /// Replica CPU for a run: the verify-lane override pins the worker-core
-/// count to the swept worker count so `charge_parallel` tasks spread
+/// count to the requested worker count so `charge_parallel` tasks spread
 /// over exactly `w` modeled verify workers.
 fn replica_cpu(params: &RunParams) -> CpuConfig {
     match params.verify_lane {
@@ -676,32 +623,6 @@ pub fn collect(sim: &Simulator, params: &RunParams) -> RunResult {
     result
 }
 
-/// Sweep client counts and return the (throughput, mean latency) curve —
-/// the Figure 7 methodology.
-pub fn latency_throughput_curve(
-    protocol: Protocol,
-    client_counts: &[usize],
-    app: AppKind,
-) -> Vec<(usize, RunResult)> {
-    client_counts
-        .iter()
-        .map(|&c| {
-            let mut p = RunParams::new(protocol, c);
-            p.app = app;
-            (c, run_experiment(&p))
-        })
-        .collect()
-}
-
-/// Maximum sustainable throughput over a client sweep.
-pub fn max_throughput(protocol: Protocol, client_counts: &[usize], app: AppKind) -> RunResult {
-    latency_throughput_curve(protocol, client_counts, app)
-        .into_iter()
-        .map(|(_, r)| r)
-        .max_by(|a, b| a.throughput.total_cmp(&b.throughput))
-        .expect("non-empty sweep")
-}
-
 /// Messages processed by replica `r` (Table 1's bottleneck-complexity
 /// instrumentation).
 pub fn replica_messages(sim: &Simulator, params: &RunParams, r: u32) -> u64 {
@@ -737,156 +658,3 @@ pub fn replica_messages(sim: &Simulator, params: &RunParams, r: u32) -> u64 {
             .unwrap_or(0),
     }
 }
-
-/// Short smoke parameters used by tests (tiny windows).
-pub fn smoke(protocol: Protocol) -> RunParams {
-    let mut p = RunParams::new(protocol, 4);
-    p.warmup = 20 * MILLIS;
-    p.measure = 80 * MILLIS;
-    p
-}
-
-/// Typed builder collapsing one run's knobs — load, batch policy, fault
-/// plan, observability — into a single chain. [`RunParams`]'s fields
-/// stay public for direct poking, but this is the front door used by
-/// the bins (`probe`, `batch_sweep`), the chaos control, and the tests:
-///
-/// ```
-/// use neo_bench::harness::{Protocol, RunConfig};
-/// use neo_core::BatchPolicy;
-/// let r = RunConfig::new(Protocol::NeoHm)
-///     .clients(8)
-///     .batch(BatchPolicy::fixed(16))
-///     .smoke()
-///     .run();
-/// assert!(r.committed > 0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct RunConfig {
-    params: RunParams,
-}
-
-impl RunConfig {
-    /// Start from the paper-testbed defaults ([`RunParams::new`], 4
-    /// closed-loop clients).
-    pub fn new(protocol: Protocol) -> Self {
-        RunConfig {
-            params: RunParams::new(protocol, 4),
-        }
-    }
-
-    /// Closed-loop client count (the load axis).
-    pub fn clients(mut self, n: usize) -> Self {
-        self.params.n_clients = n;
-        self
-    }
-
-    /// Fault bound (replica count follows the protocol's rule).
-    pub fn f(mut self, f: usize) -> Self {
-        self.params.f = f;
-        self
-    }
-
-    /// Application and workload.
-    pub fn app(mut self, app: AppKind) -> Self {
-        self.params.app = app;
-        self
-    }
-
-    /// Warm-up and measurement windows (virtual nanoseconds).
-    pub fn window(mut self, warmup: u64, measure: u64) -> Self {
-        self.params.warmup = warmup;
-        self.params.measure = measure;
-        self
-    }
-
-    /// RNG seed (network jitter, workload salts follow the client id).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.params.seed = seed;
-        self
-    }
-
-    /// Crypto cost model.
-    pub fn costs(mut self, costs: CostModel) -> Self {
-        self.params.costs = costs;
-        self
-    }
-
-    /// Replica and client CPU models.
-    pub fn cpus(mut self, server: CpuConfig, client: CpuConfig) -> Self {
-        self.params.server_cpu = server;
-        self.params.client_cpu = client;
-        self
-    }
-
-    /// Network model.
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.params.net = net;
-        self
-    }
-
-    /// Targeted fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.params.faults = faults;
-        self
-    }
-
-    /// Request batching policy (NeoBFT client driver + pipelined
-    /// verification; baseline `batch_max` override).
-    pub fn batch(mut self, batch: BatchPolicy) -> Self {
-        self.params.batch = batch;
-        self
-    }
-
-    /// Verify-stage lane: `serial` forces inline serial verification;
-    /// `verify_workers(w)` forces the pipelined lane with `w` modeled
-    /// workers (the `verify_sweep` axis).
-    pub fn verify_workers(mut self, workers: usize) -> Self {
-        self.params.verify_lane = Some(workers);
-        self
-    }
-
-    /// Force the serial verify lane (the `verify_sweep` baseline).
-    pub fn serial_verify(mut self) -> Self {
-        self.params.verify_lane = Some(0);
-        self
-    }
-
-    /// Observability configuration.
-    pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.params.obs = obs;
-        self
-    }
-
-    /// The flight-recorder preset: metrics plus bounded event and
-    /// packet rings on every node.
-    pub fn flight_recorder(mut self) -> Self {
-        self.params.obs = ObsConfig::flight_recorder();
-        self
-    }
-
-    /// Shrink the windows to the tests' smoke size.
-    pub fn smoke(mut self) -> Self {
-        self.params.warmup = 20 * MILLIS;
-        self.params.measure = 80 * MILLIS;
-        self
-    }
-
-    /// The assembled parameters.
-    pub fn params(self) -> RunParams {
-        self.params
-    }
-
-    /// Build the simulator without running (phase-driven experiments).
-    pub fn build(&self) -> Simulator {
-        build(&self.params)
-    }
-
-    /// Run the experiment.
-    pub fn run(&self) -> RunResult {
-        run_experiment(&self.params)
-    }
-}
-
-/// One virtual second, re-exported for bench targets.
-pub const SECOND: u64 = SECS;

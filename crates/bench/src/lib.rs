@@ -10,13 +10,11 @@
 //! e.g. `cargo bench -p neo-bench --bench fig7`.
 
 pub mod chaos;
-pub mod compare;
 pub mod harness;
 pub mod report;
 pub mod trace;
 
 pub use chaos::{ByzAssignment, ChaosOutcome, ChaosPlan, RunHooks};
-pub use compare::{compare, CompareConfig, CompareReport, Delta};
-pub use harness::{AppKind, CopyReport, ObsReport, Protocol, RunConfig, RunParams, RunResult};
+pub use harness::{AppKind, ObsReport, Protocol, RunParams, RunResult};
 pub use report::{fmt_ops, fmt_us, phase_breakdown, Table};
 pub use trace::{assemble, render_waterfall, RequestTimeline, TraceReport};

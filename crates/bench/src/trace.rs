@@ -232,7 +232,7 @@ pub fn assemble(events: &[EventRecord]) -> Vec<RequestTimeline> {
 }
 
 /// Per-phase latency tables assembled from a run's event trace, reported
-/// in `RunResult`/BENCH JSON next to the end-to-end numbers.
+/// in `RunResult` (and its JSON view) next to the end-to-end numbers.
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct TraceReport {
     /// Requests observed in the trace (either side of the span).

@@ -41,13 +41,16 @@ impl BatchPolicy {
         adaptive: false,
     };
 
-    /// Fixed batches of `n` ops with a 100 µs partial-batch flush.
+    /// Fixed batches of `n` ops with a 100 µs partial-batch flush;
+    /// `n <= 1` is [`BatchPolicy::SINGLE`].
     pub fn fixed(n: usize) -> Self {
-        let n = n.max(1);
+        if n <= 1 {
+            return BatchPolicy::SINGLE;
+        }
         BatchPolicy {
             max_batch: n,
             window: 2 * n,
-            flush_timeout_ns: if n == 1 { 0 } else { 100_000 },
+            flush_timeout_ns: 100_000,
             adaptive: false,
         }
     }

@@ -16,11 +16,11 @@
 //! * the 2f+1 reply quorum matches on (view-id, log-slot-num, log-hash,
 //!   results) and fans per-op [`CompletedOp`] records back out.
 //!
-//! With [`BatchPolicy::SINGLE`] (the default) this is bit-for-bit the
+//! With [`crate::BatchPolicy::SINGLE`] (the default) this is bit-for-bit the
 //! original closed-loop client: one op per slot, one outstanding op,
 //! identical request-id sequence, identical retry behaviour.
 
-use crate::batch::{AdaptiveBatcher, BatchPolicy};
+use crate::batch::AdaptiveBatcher;
 use crate::config::NeoConfig;
 use crate::messages::{BatchRequest, NeoMsg, Reply, SignedBatch};
 use neo_aom::{AomBatch, AomSender, Envelope};
@@ -112,7 +112,7 @@ pub struct ClientDriver {
 }
 
 /// The original name: a [`ClientDriver`] with the policy taken from
-/// [`NeoConfig::batch`] (default [`BatchPolicy::SINGLE`], the exact
+/// [`NeoConfig::batch`] (default [`crate::BatchPolicy::SINGLE`], the exact
 /// closed-loop behaviour every pre-batching test expects).
 pub type Client = ClientDriver;
 
@@ -224,9 +224,9 @@ impl ClientDriver {
 
     /// Top the queue up from the workload (if any) to the window size.
     fn refill(&mut self, ctx: &mut dyn Context) {
-        let Some(workload) = self.workload.as_mut() else {
+        if self.workload.is_none() {
             return;
-        };
+        }
         let window = self.cfg.batch.window.max(1);
         let room = window.saturating_sub(self.queue.len() + self.inflight_len());
         let budget = match self.max_ops {
@@ -241,6 +241,9 @@ impl ClientDriver {
             }
             return;
         }
+        let Some(workload) = self.workload.as_mut() else {
+            return;
+        };
         let ops = workload.next_ops(budget);
         let n = ops.len() as u64;
         self.pulled += n;

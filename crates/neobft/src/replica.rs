@@ -2955,7 +2955,10 @@ impl Node for Replica {
     }
 
     fn store(&mut self) -> Option<&mut dyn neo_sim::Store> {
-        self.store.as_deref_mut()
+        match self.store {
+            Some(ref mut s) => Some(s.as_mut()),
+            None => None,
+        }
     }
 
     /// Collect pooled verification completions (tokio runtime only; the

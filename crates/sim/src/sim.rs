@@ -571,7 +571,11 @@ mod tests {
             self.got.push((from, payload.to_vec()));
             ctx.send(
                 from,
-                payload.iter().map(|b| b * 2).collect::<Vec<u8>>().into(),
+                payload
+                    .iter()
+                    .map(|b| b.wrapping_mul(2))
+                    .collect::<Vec<u8>>()
+                    .into(),
             );
         }
         fn on_timer(&mut self, _: TimerId, _: u32, _: &mut dyn Context) {}

@@ -3,27 +3,41 @@
 //! Every `ctx.emit(..)` / `metrics.incr(..)` in protocol code funnels
 //! through [`Metrics`] even when observability is off, so the disabled
 //! path sits on the per-message fast path of both runtimes. It must
-//! stay a branch on a plain bool — no heap traffic. A counting global
-//! allocator catches any regression (an eager `to_string`, a record
-//! built before the enabled check, ...) that the type system cannot.
+//! stay a branch on a plain bool — no heap traffic. A global allocator
+//! that counts per thread catches any regression (an eager `to_string`,
+//! a record built before the enabled check, ...) that the type system
+//! cannot.
 
 use neo_sim::obs::{Event, Metrics, ObsConfig};
 use neo_wire::{Addr, ClientId, GroupId, ReplicaId};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the sibling test allocates on the runner's other
+    // thread. Const-initialised and without a destructor, so touching it
+    // from inside the allocator neither allocates nor registers a dtor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs_on_this_thread() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -43,7 +57,7 @@ fn disabled_registry_hot_path_does_not_allocate() {
     assert!(!m.enabled());
 
     let payload = [0u8; 1024];
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs_on_this_thread();
     for i in 0..10_000u64 {
         m.incr("runtime.rx_packets");
         m.add("runtime.rx_bytes", 1024);
@@ -74,7 +88,7 @@ fn disabled_registry_hot_path_does_not_allocate() {
         );
         assert!(!m.records_packets());
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs_on_this_thread();
     assert_eq!(
         after - before,
         0,

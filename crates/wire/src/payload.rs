@@ -13,9 +13,10 @@
 //! `Arc<[u8]>`) per wire message.
 //!
 //! The module also keeps process-wide allocation counters
-//! ([`PayloadStats`]) so the bench harness can report bytes-copied and
-//! allocations per committed operation — making copy regressions visible
-//! in `BENCH_*.json` instead of only in profiles.
+//! ([`PayloadStats`]) so the repository benchmark can report bytes-copied
+//! and allocations per committed operation (`wire.payload_*_per_op`) —
+//! making copy regressions visible in its results instead of only in
+//! profiles.
 
 use std::fmt;
 use std::ops::Deref;

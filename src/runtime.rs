@@ -1027,7 +1027,9 @@ mod tests {
                 self
             }
         }
-        let err = try_spawn_node(Box::new(Nop), Addr::Config, AddressBook::new()).unwrap_err();
+        let Err(err) = try_spawn_node(Box::new(Nop), Addr::Config, AddressBook::new()) else {
+            panic!("spawning an unregistered address must fail");
+        };
         assert!(
             matches!(err, RuntimeError::UnknownAddress(Addr::Config)),
             "{err}"

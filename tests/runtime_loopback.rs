@@ -123,9 +123,14 @@ fn run_verify_group(
 ) -> (Vec<(u64, Vec<u8>)>, Vec<Vec<Option<u64>>>) {
     let n = 4;
     let keys = SystemKeys::new(11, n, 1);
-    let cfg = NeoConfig::new(1)
+    let mut cfg = NeoConfig::new(1)
         .with_byzantine_network()
         .with_verify_workers(verify_workers);
+    // This test is about verify-lane equivalence, not failover: a node
+    // off-CPU past the default 20 ms watchdog starts a sequencer failover,
+    // which over UDP can wedge the group and hang the shutdown below
+    // (benchmark/README.md B3; EXPERIMENTS.md "Test status").
+    cfg.unicast_watchdog_ns = 600 * neobft::sim::SECS;
     let dep = AddressBook::builder()
         .replicas(n)
         .clients(1)
@@ -302,9 +307,9 @@ fn poisoned_verify_pool_surfaces_as_typed_error() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(h.verify_poisoned(), "poisoning is observable on the handle");
-    let err = h
-        .try_shutdown()
-        .expect_err("shutdown reports the poisoning");
+    let Err(err) = h.try_shutdown() else {
+        panic!("shutdown reports the poisoning");
+    };
     assert!(
         matches!(err, RuntimeError::VerifyPoolPoisoned(addr) if addr == dep.replica(0)),
         "typed error names the node: {err}"
@@ -607,11 +612,15 @@ fn telemetry_endpoint_serves_live_scrapes_and_health() {
     assert_eq!(docs.len(), n + 3, "one document per registered handle");
     let r0 = docs
         .iter()
-        .find(|d| d["node"] == "r0")
+        .find(|d| d["node"].as_str() == Some("r0"))
         .expect("replica 0 reports");
-    assert_eq!(r0["healthy"], true);
+    assert_eq!(r0["healthy"].as_bool(), Some(true));
     assert!(r0["committed"].as_u64().expect("committed count") >= ops as u64);
-    assert_eq!(r0["protocol"]["role"], "replica", "protocol doc: {r0}");
+    assert_eq!(
+        r0["protocol"]["role"].as_str(),
+        Some("replica"),
+        "protocol doc: {r0}"
+    );
 
     drop(server);
     for h in replica_hs {
