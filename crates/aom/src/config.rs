@@ -7,7 +7,6 @@
 //! distinct replicas, so no coalition of ≤ f Byzantine replicas can force
 //! epoch churn on its own.
 
-use crate::sequencer::SequencerNode;
 use crate::Envelope;
 use neo_sim::{Context, Node, TimerId};
 use neo_wire::{Addr, EpochNum, GroupId, ReplicaId};
@@ -170,12 +169,6 @@ impl Node for ConfigService {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Convenience used by tests and the failover experiment: reset a
-/// sequencer node in place, as if the config service had swapped switches.
-pub fn reinstall_sequencer(seq: &mut SequencerNode, epoch: EpochNum) {
-    seq.install_epoch(epoch);
 }
 
 #[cfg(test)]

@@ -219,9 +219,8 @@ impl VerifyJob {
     /// Run the crypto: payload–digest binding, scheme-confusion check,
     /// and the authenticator itself. Pure with respect to the receiver,
     /// so it is safe on any thread. `parallel` picks the meter lane for
-    /// the digest/MAC work (the old `set_pipelined` toggle); the aom-pk
-    /// path keeps its split charge — chain bookkeeping inline, ECDSA to
-    /// the worker lane.
+    /// the digest/MAC work; the aom-pk path keeps its split charge —
+    /// chain bookkeeping inline, ECDSA to the worker lane.
     pub fn verify(&mut self, crypto: &NodeCrypto, parallel: bool) {
         self.outcome = Some(self.check(crypto, parallel));
     }
@@ -345,11 +344,6 @@ pub struct AomReceiver {
     keys: SystemKeys,
     hmac_key: HmacKey,
     seq_vk: SequencerVerifyKey,
-    /// Pipelined speculative verification: charge digest/authenticator
-    /// verification to the parallel lane so it overlaps with execution
-    /// of the previous slot (the replica executes slot *k* while slot
-    /// *k+1*'s authenticator is still being verified).
-    pipelined: bool,
     next: SeqNum,
     /// Fully authenticated packets awaiting in-order delivery (trusted
     /// mode) or their confirm quorum (Byzantine mode: entry exists but
@@ -408,7 +402,6 @@ impl AomReceiver {
             keys: keys.clone(),
             hmac_key: keys.sequencer_hmac_key(group, epoch, me),
             seq_vk: keys.sequencer_key(group, epoch).verify_key(),
-            pipelined: false,
             next: SeqNum::FIRST,
             ready: BTreeMap::new(),
             pending_chain: BTreeMap::new(),
@@ -446,21 +439,6 @@ impl AomReceiver {
         }
     }
 
-    /// Enable or disable pipelined verification. When enabled, the
-    /// per-packet digest hash and authenticator check are charged to the
-    /// meter's parallel lane instead of the serial dispatch lane,
-    /// modelling a replica that verifies slot *k+1* concurrently with
-    /// (speculative) execution of slot *k*. Verification outcomes are
-    /// unchanged — only where the CPU time lands.
-    ///
-    /// This toggle is the *simulator's* model of the verify stage. Real
-    /// executors bypass it: they drive [`AomReceiver::submit_verify`] /
-    /// [`AomReceiver::complete_verify`] directly and run
-    /// [`VerifyJob::verify`] on a `VerifyPool` worker thread.
-    pub fn set_pipelined(&mut self, on: bool) {
-        self.pipelined = on;
-    }
-
     /// Current epoch.
     pub fn epoch(&self) -> EpochNum {
         self.epoch
@@ -488,13 +466,12 @@ impl AomReceiver {
 
     /// Process one stamped aom packet from the wire: the inline
     /// composition of [`AomReceiver::submit_verify`],
-    /// [`VerifyJob::verify`] (on the lane picked by
-    /// [`AomReceiver::set_pipelined`]) and
-    /// [`AomReceiver::complete_verify`]. Pooled executors call the
-    /// halves themselves so the middle step runs on a worker thread.
+    /// [`VerifyJob::verify`] (on the serial lane) and
+    /// [`AomReceiver::complete_verify`]. Executors that pick a lane or a
+    /// worker thread for the middle step call the halves themselves.
     pub fn on_packet(&mut self, pkt: AomPacket, crypto: &NodeCrypto) -> Result<(), AomError> {
         let mut job = self.submit_verify(pkt)?;
-        job.verify(crypto, self.pipelined);
+        job.verify(crypto, false);
         self.complete_verify(job, crypto)
     }
 

@@ -562,17 +562,22 @@ fn tampering_one_op_inside_a_batch_is_rejected() {
 #[test]
 fn pipelined_verification_accepts_and_rejects_identically() {
     // Pipelining only moves verification cost to the parallel lane; the
-    // accept/reject behaviour must be bit-identical.
+    // accept/reject behaviour must be bit-identical. This is the path a
+    // replica drives: submit, verify on the parallel lane, complete.
     let mut seq = sequencer(AuthMode::HmacVector);
     let ctx = stamp_many(&mut seq, &[b"a", b"b"]);
     let crypto = crypto_for(0);
     let mut rcv = receiver(0, ReceiverAuth::Hmac, NetworkTrust::Trusted);
-    rcv.set_pipelined(true);
+    let mut pipelined = |pkt: AomPacket| {
+        let mut job = rcv.submit_verify(pkt)?;
+        job.verify(&crypto, true);
+        rcv.complete_verify(job, &crypto)
+    };
     let mut tampered = ctx.packets_for(0)[0].clone();
     tampered.payload[0] ^= 0x01;
-    assert_eq!(rcv.on_packet(tampered, &crypto), Err(AomError::BadAuth));
+    assert_eq!(pipelined(tampered), Err(AomError::BadAuth));
     for p in ctx.packets_for(0) {
-        rcv.on_packet(p, &crypto).unwrap();
+        pipelined(p).unwrap();
     }
     assert_eq!(deliveries(&mut rcv).len(), 2);
 }

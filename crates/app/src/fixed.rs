@@ -1,6 +1,6 @@
 //! Q32.32 fixed-point arithmetic for deterministic workload math.
 //!
-//! neo-lint R4 bans floats in replicated/deterministic state: float
+//! R4 (`clippy.toml`) bans floats in replicated/deterministic state: float
 //! rounding is not portably bit-identical across platforms and
 //! toolchains, and the YCSB generator's zipfian tables feed the
 //! request stream every replica must agree on. Everything here is
@@ -130,12 +130,14 @@ pub fn fp_pow(x: u64, y: u64) -> u64 {
     fp_exp2(((l * y as i128) >> FRAC) as i64)
 }
 
+// The float ban (clippy `disallowed_types`, this crate's `clippy.toml`)
+// is lifted for the tests: they pin the integer implementation against
+// libm and never run on a replica.
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
 
-    /// Tests may use floats freely (neo-lint skips `#[cfg(test)]`);
-    /// they pin the integer implementation against libm.
     fn close(fp: u64, f: f64, tol: f64) {
         let got = fp as f64 / ONE as f64;
         assert!(

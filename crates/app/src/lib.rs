@@ -14,7 +14,7 @@
 //! * [`ycsb`] — a YCSB workload generator (workload A: 50/50 read/update
 //!   over a zipfian key distribution, 100 K records, 128-byte fields).
 //! * [`fixed`] — Q32.32 fixed-point arithmetic backing the zipfian
-//!   tables, so workload state carries no floats (neo-lint R4).
+//!   tables, so workload state carries no floats (R4, `clippy.toml`).
 
 pub mod echo;
 pub mod fixed;

@@ -5,7 +5,7 @@
 //! distribution. The zipfian sampler is the standard Gray et al. rejection
 //! method used by the YCSB reference implementation, computed in Q32.32
 //! fixed point ([`crate::fixed`]) so the generator carries no floats
-//! (neo-lint R4) and the op stream is bit-identical on every platform.
+//! (R4, `clippy.toml`) and the op stream is bit-identical on every platform.
 
 use crate::fixed::{fp_div, fp_exp2, fp_log2, fp_mul, fp_pow, fp_ratio, FRAC, ONE};
 use crate::kv::KvOp;
@@ -172,6 +172,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // the f64 reference, test-only
     fn zipfian_tables_match_float_reference() {
         // The fixed-point sampler state vs the f64 math it replaced.
         let g = YcsbGenerator::new(small(), 1);
@@ -194,8 +195,7 @@ mod tests {
         let reads = (0..n)
             .filter(|_| matches!(g.next_op(), KvOp::Get { .. }))
             .count();
-        let frac = reads as f64 / n as f64;
-        assert!((0.47..0.53).contains(&frac), "≈50% reads, got {frac}");
+        assert!((4_700..5_300).contains(&reads), "≈50% reads, got {reads}");
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
         let reads = (0..n)
             .filter(|_| matches!(g.next_op(), KvOp::Get { .. }))
             .count();
-        assert!(reads as f64 / n as f64 > 0.92);
+        assert!(reads > 9_200, "≥92% of {n} reads, got {reads}");
     }
 
     #[test]

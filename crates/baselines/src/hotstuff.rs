@@ -95,7 +95,7 @@ pub struct HotStuffReplica {
     /// QCs by height.
     qcs: BTreeMap<u64, Qc>,
     /// Leader: votes for the block at each height. BTreeMap so QC
-    /// signature lists assemble in deterministic order (neo-lint R1).
+    /// signature lists assemble in deterministic order (R1, `clippy.toml`).
     votes: BTreeMap<u64, BTreeMap<ReplicaId, Signature>>,
     /// Leader: request queue.
     queue: BatchQueue,
@@ -473,7 +473,7 @@ pub struct HotStuffClient {
     pub core: ClientCore,
     cfg: BaselineConfig,
     crypto: NodeCrypto,
-    // BTreeMap: the reply-matching scan iterates this (neo-lint R1).
+    // BTreeMap: the reply-matching scan iterates this (R1, `clippy.toml`).
     replies: BTreeMap<ReplicaId, (RequestId, Vec<u8>)>,
 }
 

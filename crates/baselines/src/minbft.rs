@@ -510,7 +510,7 @@ pub struct MinBftClient {
     pub core: ClientCore,
     cfg: BaselineConfig,
     crypto: NodeCrypto,
-    // BTreeMap: the reply-matching scan iterates this (neo-lint R1).
+    // BTreeMap: the reply-matching scan iterates this (R1, `clippy.toml`).
     replies: BTreeMap<ReplicaId, (RequestId, Vec<u8>)>,
 }
 

@@ -79,7 +79,7 @@ struct Instance {
     batch: Option<Vec<(BaseRequest, Signature)>>,
     digest: Option<Digest>,
     // BTreeMap: quorum counting iterates these, and iteration order must
-    // be deterministic across replicas (neo-lint R1).
+    // be deterministic across replicas (R1, `clippy.toml`).
     prepares: BTreeMap<ReplicaId, Digest>,
     commits: BTreeMap<ReplicaId, Digest>,
     prepare_sent: bool,
@@ -492,7 +492,7 @@ pub struct PbftClient {
     pub core: ClientCore,
     cfg: BaselineConfig,
     crypto: NodeCrypto,
-    // BTreeMap: the reply-matching scan iterates this (neo-lint R1).
+    // BTreeMap: the reply-matching scan iterates this (R1, `clippy.toml`).
     replies: BTreeMap<ReplicaId, (RequestId, Vec<u8>)>,
 }
 

@@ -409,7 +409,7 @@ pub struct ZyzzyvaClient {
     cfg: BaselineConfig,
     crypto: NodeCrypto,
     // BTreeMap: `matching_set` iterates this, and the chosen maximal
-    // group must be the same on every run (neo-lint R1).
+    // group must be the same on every run (R1, `clippy.toml`).
     spec: BTreeMap<ReplicaId, (SpecBody, Vec<u8>, Signature)>,
     local_commits: HashMap<ReplicaId, RequestId>,
     fast_timer: Option<TimerId>,

@@ -9,10 +9,8 @@
 //! 2. a unique workspace-wide match.
 //!
 //! Ambiguous names resolve to the same-file candidate when exactly one
-//! exists, otherwise the edge is dropped (no guessing). The dataflow
-//! rules only traverse *same-file* edges (private helpers); the
-//! workspace-wide index exists so cross-file vocabulary checks (R7) and
-//! future rules see one graph.
+//! exists, otherwise the edge is dropped (no guessing). The rules only
+//! traverse *same-file* edges (private helpers).
 
 use crate::parser::{Event, FileModel};
 use std::collections::BTreeMap;
@@ -43,7 +41,6 @@ pub struct Edge {
 pub struct CallGraph {
     /// All resolved edges, in deterministic (caller, event) order.
     pub edges: Vec<Edge>,
-    by_name: BTreeMap<String, Vec<FnRef>>,
 }
 
 impl CallGraph {
@@ -68,6 +65,7 @@ impl CallGraph {
                         recv,
                         is_macro: false,
                         line,
+                        ..
                     } = ev
                     else {
                         continue;
@@ -87,22 +85,12 @@ impl CallGraph {
                 }
             }
         }
-        CallGraph { edges, by_name }
-    }
-
-    /// Functions named `name`, across the workspace.
-    pub fn functions_named(&self, name: &str) -> &[FnRef] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
+        CallGraph { edges }
     }
 
     /// Edges out of `caller`.
     pub fn callees(&self, caller: FnRef) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.caller == caller)
-    }
-
-    /// Edges into `callee`.
-    pub fn callers(&self, callee: FnRef) -> impl Iterator<Item = &Edge> {
-        self.edges.iter().filter(move |e| e.callee == callee)
     }
 }
 
@@ -147,11 +135,7 @@ mod tests {
 
     fn models(srcs: &[(&str, &str)]) -> Vec<FileModel> {
         srcs.iter()
-            .map(|(path, src)| {
-                let lexed = lex(src);
-                let mask = vec![false; lexed.toks.len()];
-                parse_file(path, &lexed, &mask)
-            })
+            .map(|(path, src)| parse_file(path, &lex(src)))
             .collect()
     }
 
@@ -214,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn callers_and_callees_enumerate() {
+    fn callees_enumerate() {
         let src = "impl R {\n\
                    fn on_a(&mut self) { self.shared(); }\n\
                    fn on_b(&mut self) { self.shared(); }\n\
@@ -223,7 +207,7 @@ mod tests {
         let files = models(&[("r.rs", src)]);
         let g = CallGraph::build(&files);
         let shared = FnRef { file: 0, func: 2 };
-        assert_eq!(g.callers(shared).count(), 2);
+        assert_eq!(g.edges.iter().filter(|e| e.callee == shared).count(), 2);
         assert_eq!(g.callees(FnRef { file: 0, func: 0 }).count(), 1);
     }
 }

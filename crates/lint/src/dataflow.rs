@@ -1,7 +1,14 @@
-//! Pass 2: dataflow rules over the item model + call graph.
+//! The six rules, all over the item model + call graph.
 //!
-//! R6 verify-before-mutate — in a handler (`on_*`/`handle_*`/
-//!    `receive*`), a storage routine (`replay_*`/`install_*` — replay
+//! R2 no-panic-in-handlers — `.unwrap()`/`.expect()`, panic-family
+//!    macros and indexing/slicing in the body of a message handler
+//!    (`fn on_*`/`handle_*`/`receive*`); Byzantine input must degrade to
+//!    a dropped message, never a crash.
+//! R5 no-unbounded-collection-growth — `insert`/`entry` on a struct's
+//!    map field keyed by attacker-controlled data, inside a handler or a
+//!    storage routine (`replay_*`/`install_*`: replayed logs and
+//!    state-transfer payloads size recovery buffers).
+//! R6 verify-before-mutate — in a handler, a storage routine (replay
 //!    and state-transfer code ingests bytes from disk or a peer and is
 //!    held to the same bar), or a private helper either calls, a write
 //!    to replicated state must be dominated, in statement order, by a
@@ -9,7 +16,7 @@
 //!    the aom receiver's ingestion methods). Guard idioms
 //!    (`if !verify { return }`, `verify()?`, let-else) are recognized
 //!    because the verify call precedes the mutation in statement
-//!    order. The replicated universe is the R4/R5 field universe
+//!    order. The replicated universe is the R5 field universe
 //!    (attacker-keyed map fields) plus `// neo-lint: replicated`
 //!    markers; `// neo-lint: verified(..)` on a `fn` declares its
 //!    inputs pre-authenticated (e.g. WAL replay of the replica's own
@@ -23,24 +30,29 @@
 //!    (receivers named `job`/`jobs`/`task`/`work`) verifies through the
 //!    `NodeCrypto` handed to it, and batch APIs (`verify_batch`,
 //!    `verify_chain_links`) charge inside the façade.
-//! R8 interprocedural panic reach — R2's panic ban extended one call
-//!    deep: `unwrap`/`expect`/panic-macros inside a private same-file
+//! R8 interprocedural panic reach — R2's walk one call deeper:
+//!    `.unwrap()`/`.expect()`/panic macros inside a private same-file
 //!    helper called from a handler.
+//! R9 static-metric-names — `metrics.incr(..)`/`add`/`observe`/
+//!    `set_gauge` called with a computed (non-literal) metric name.
+//!    Dynamic names mint unbounded time series — every scrape family
+//!    must be a static literal; variance belongs in bounded labels.
 //!
-//! Known approximations (see DESIGN.md §15): domination is linear
-//! statement order, not path-sensitive; helper traversal is one level
-//! of same-file callees; aliased mutations through a local binding
+//! Test functions are skipped by every rule. Known approximations (see
+//! DESIGN.md §10): domination is linear statement order, not
+//! path-sensitive; helper traversal is one level of same-file callees;
+//! aliased mutations through a local binding
 //! (`let g = self.gaps.entry(..)`) are not tracked.
 
 use crate::callgraph::{CallGraph, FnRef};
 use crate::parser::{Event, FileModel, FnModel};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Key types whose domain is fixed by the replica set / local runtime
-/// (mirrors R5).
+/// Key types whose domain is fixed by the replica set / local runtime,
+/// so maps keyed by them cannot be grown by an attacker.
 const BOUNDED_KEYS: &[&str] = &["ReplicaId", "TimerId", "GroupId"];
 
-/// Key types an attacker can mint fresh values of at will (mirrors R5).
+/// Key types an attacker can mint fresh values of at will.
 const UNBOUNDED_KEYS: &[&str] = &[
     "ClientId",
     "RequestId",
@@ -58,6 +70,9 @@ const UNBOUNDED_KEYS: &[&str] = &[
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
 
+/// Map methods that can add a key.
+const GROW_METHODS: &[&str] = &["insert", "entry"];
+
 const CHARGE_CALLS: &[&str] = &[
     "charge",
     "charge_serial",
@@ -74,9 +89,10 @@ fn below_meter(path: &str) -> bool {
 
 /// Storage-vocabulary entry points: replay and state-transfer routines
 /// (`replay_*`, `install_*`) apply bytes that arrived from disk or a
-/// peer, so R6 analyzes them standalone exactly like message handlers —
-/// they must verify (or carry a `verified(..)` marker explaining why
-/// their input is pre-authenticated) before mutating replicated state.
+/// peer, so R5 and R6 analyze them standalone exactly like message
+/// handlers — they must verify (or carry a `verified(..)` marker
+/// explaining why their input is pre-authenticated) before mutating
+/// replicated state, and must bound what they grow.
 fn is_storage_entry(name: &str) -> bool {
     name.starts_with("replay_") || name.starts_with("install_")
 }
@@ -103,45 +119,112 @@ fn is_verify_call(name: &str, recv: &[String]) -> bool {
         && recv.iter().any(|s| s == "aom")
 }
 
-/// Run R6–R8 over the workspace; findings accumulate per file into
-/// `out[file_index]` as `(line, rule, message)`.
-pub fn run(
-    files: &[FileModel],
-    graph: &CallGraph,
-    out: &mut [BTreeSet<(u32, &'static str, String)>],
-) {
-    let universes: Vec<BTreeSet<&str>> = files.iter().map(replicated_universe).collect();
+/// Findings of one file, as `(line, rule, message)`; the set drops a
+/// rule firing twice on one line.
+pub type FileFindings = BTreeSet<(u32, &'static str, String)>;
+
+/// Run every rule over the workspace; findings accumulate per file into
+/// `out[file_index]`.
+pub fn run(files: &[FileModel], graph: &CallGraph, out: &mut [FileFindings]) {
+    let keyed: Vec<BTreeMap<&str, &str>> = files.iter().map(attacker_keyed_fields).collect();
+    let universes: Vec<BTreeSet<&str>> = files
+        .iter()
+        .zip(&keyed)
+        .map(|(file, keyed)| replicated_universe(file, keyed))
+        .collect();
+    rule_r2_r8(files, graph, out);
+    rule_r5(files, &keyed, out);
     rule_r6(files, graph, &universes, out);
     rule_r7(files, out);
-    rule_r8(files, graph, out);
+    rule_r9(files, out);
 }
 
-/// The replicated-state field universe of one file: attacker-keyed map
-/// fields (the R5 universe) plus `// neo-lint: replicated` markers.
-fn replicated_universe(file: &FileModel) -> BTreeSet<&str> {
-    let mut set = BTreeSet::new();
-    for s in &file.structs {
-        for f in &s.fields {
-            if f.replicated {
-                set.insert(f.name.as_str());
-                continue;
-            }
-            let Some(key) = f.map_key.as_deref() else {
+/// The R5 universe of one file: map/set fields whose key type an
+/// attacker can mint values of, as field name → key type.
+fn attacker_keyed_fields(file: &FileModel) -> BTreeMap<&str, &str> {
+    let mut keyed = BTreeMap::new();
+    for f in file.structs.iter().flat_map(|s| &s.fields) {
+        let Some(key) = f.map_key.as_deref() else {
+            continue;
+        };
+        let parts: Vec<&str> = key.split(' ').collect();
+        if BOUNDED_KEYS.iter().any(|b| parts.contains(b)) {
+            continue;
+        }
+        if UNBOUNDED_KEYS.iter().any(|u| parts.contains(u)) {
+            keyed.entry(f.name.as_str()).or_insert(key);
+        }
+    }
+    keyed
+}
+
+/// The replicated-state field universe of one file: the R5 universe
+/// plus `// neo-lint: replicated` markers.
+fn replicated_universe<'a>(
+    file: &'a FileModel,
+    keyed: &BTreeMap<&'a str, &'a str>,
+) -> BTreeSet<&'a str> {
+    let marked = file
+        .structs
+        .iter()
+        .flat_map(|s| &s.fields)
+        .filter(|f| f.replicated)
+        .map(|f| f.name.as_str());
+    keyed.keys().copied().chain(marked).collect()
+}
+
+/// What region kind a function is for R5/R6, if it is one.
+fn region_noun(f: &FnModel) -> Option<&'static str> {
+    if f.is_test {
+        None
+    } else if f.is_entry() {
+        Some("handler")
+    } else if is_storage_entry(&f.name) {
+        Some("storage routine")
+    } else {
+        None
+    }
+}
+
+/// R5 no-unbounded-collection-growth.
+fn rule_r5(files: &[FileModel], keyed: &[BTreeMap<&str, &str>], out: &mut [FileFindings]) {
+    for (fi, file) in files.iter().enumerate() {
+        for f in &file.functions {
+            let Some(noun) = region_noun(f) else {
                 continue;
             };
-            if key.is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = key.split(' ').collect();
-            if BOUNDED_KEYS.iter().any(|b| parts.contains(b)) {
-                continue;
-            }
-            if UNBOUNDED_KEYS.iter().any(|u| parts.contains(u)) {
-                set.insert(f.name.as_str());
+            for ev in f.linear_events() {
+                let Event::Call {
+                    name,
+                    recv,
+                    recv_line,
+                    is_macro: false,
+                    ..
+                } = ev
+                else {
+                    continue;
+                };
+                if !GROW_METHODS.contains(&name.as_str()) {
+                    continue;
+                }
+                let Some((field, key)) = recv
+                    .last()
+                    .and_then(|r| keyed[fi].get_key_value(r.as_str()))
+                else {
+                    continue;
+                };
+                out[fi].insert((
+                    *recv_line,
+                    "R5",
+                    format!(
+                        "`{field}.{name}()` in {noun} `{}` grows a map keyed by \
+                         attacker-influenced `{key}` without a bound; cap, window, or evict",
+                        f.name
+                    ),
+                ));
             }
         }
     }
-    set
 }
 
 /// Writes to universe fields in `f` that no earlier verify call
@@ -188,7 +271,7 @@ fn rule_r6(
     files: &[FileModel],
     graph: &CallGraph,
     universes: &[BTreeSet<&str>],
-    out: &mut [BTreeSet<(u32, &'static str, String)>],
+    out: &mut [FileFindings],
 ) {
     for (fi, file) in files.iter().enumerate() {
         let universe = &universes[fi];
@@ -196,14 +279,12 @@ fn rule_r6(
             continue;
         }
         for (gi, f) in file.functions.iter().enumerate() {
-            if f.is_test || !(f.is_entry() || is_storage_entry(&f.name)) || f.verified_input {
+            let Some(noun) = region_noun(f) else {
+                continue;
+            };
+            if f.verified_input {
                 continue;
             }
-            let noun = if f.is_entry() {
-                "handler"
-            } else {
-                "storage routine"
-            };
             // Direct writes in the handler body.
             for (field, line) in unguarded_writes(f, universe, false) {
                 out[fi].insert((
@@ -248,7 +329,7 @@ fn rule_r6(
 }
 
 /// R7 verify-charges-meter.
-fn rule_r7(files: &[FileModel], out: &mut [BTreeSet<(u32, &'static str, String)>]) {
+fn rule_r7(files: &[FileModel], out: &mut [FileFindings]) {
     for (fi, file) in files.iter().enumerate() {
         if below_meter(&file.path) {
             continue;
@@ -264,6 +345,7 @@ fn rule_r7(files: &[FileModel], out: &mut [BTreeSet<(u32, &'static str, String)>
                     recv,
                     is_macro: false,
                     line,
+                    ..
                 } = ev
                 else {
                     continue;
@@ -300,18 +382,51 @@ fn rule_r7(files: &[FileModel], out: &mut [BTreeSet<(u32, &'static str, String)>
     }
 }
 
-/// R8 interprocedural panic reach.
-fn rule_r8(
-    files: &[FileModel],
-    graph: &CallGraph,
-    out: &mut [BTreeSet<(u32, &'static str, String)>],
-) {
+/// How a call event can panic, rendered for a finding: a panic-family
+/// macro, or `.unwrap()`/`.expect()` as a method (a free fn named
+/// `unwrap` is a decoder, not `Option::unwrap`).
+fn panic_call(ev: &Event) -> Option<String> {
+    match ev {
+        Event::Call {
+            name,
+            is_macro: true,
+            ..
+        } if PANIC_MACROS.contains(&name.as_str()) => Some(format!("`{name}!`")),
+        Event::Call {
+            name, method: true, ..
+        } if name == "unwrap" || name == "expect" => Some(format!("`.{name}()`")),
+        _ => None,
+    }
+}
+
+/// R2 no-panic-in-handlers and R8 interprocedural panic reach: one walk
+/// from every handler, over its own body (R2, which also bans indexing)
+/// and one call deep into its private same-file helpers (R8).
+fn rule_r2_r8(files: &[FileModel], graph: &CallGraph, out: &mut [FileFindings]) {
     // panic site (file, line) → (callee name, entry names reaching it)
     let mut sites: BTreeMap<(usize, u32), (String, BTreeSet<String>)> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
         for (gi, f) in file.functions.iter().enumerate() {
             if f.is_test || !f.is_entry() {
                 continue;
+            }
+            for ev in f.linear_events() {
+                let message = if let Some(what) = panic_call(ev) {
+                    format!(
+                        "{what} in message handler `{}` — Byzantine input must degrade to a \
+                         dropped message, not a panic; return a typed error instead",
+                        f.name
+                    )
+                } else if matches!(ev, Event::Index { .. }) {
+                    format!(
+                        "indexing/slicing in message handler `{}` can panic on out-of-range \
+                         input; use `.get()` and drop the message on None",
+                        f.name
+                    )
+                } else {
+                    continue;
+                };
+                out[fi].insert((ev.line(), "R2", message));
             }
             let entry_ref = FnRef { file: fi, func: gi };
             for edge in graph.callees(entry_ref) {
@@ -323,23 +438,9 @@ fn rule_r8(
                     continue;
                 }
                 for ev in callee.linear_events() {
-                    let Event::Call {
-                        name,
-                        recv,
-                        is_macro,
-                        line,
-                    } = ev
-                    else {
-                        continue;
-                    };
-                    let panics = if *is_macro {
-                        PANIC_MACROS.contains(&name.as_str())
-                    } else {
-                        (name == "unwrap" || name == "expect") && !recv.is_empty()
-                    };
-                    if panics {
+                    if panic_call(ev).is_some() {
                         sites
-                            .entry((fi, *line))
+                            .entry((fi, ev.line()))
                             .or_insert_with(|| (callee.name.clone(), BTreeSet::new()))
                             .1
                             .insert(f.name.clone());
@@ -367,6 +468,51 @@ fn rule_r8(
     }
 }
 
+/// R9 static-metric-names: a computed name (`&format!("x.{peer}")`, a
+/// variable, a function call) mints a fresh time series per distinct
+/// value — unbounded scrape cardinality — and defeats static
+/// grep-ability of the metric namespace.
+fn rule_r9(files: &[FileModel], out: &mut [FileFindings]) {
+    for (fi, file) in files.iter().enumerate() {
+        for f in file.functions.iter().filter(|f| !f.is_test) {
+            for ev in f.linear_events() {
+                let Event::Call {
+                    name,
+                    method: true,
+                    argc,
+                    lit_first: false,
+                    line,
+                    ..
+                } = ev
+                else {
+                    continue;
+                };
+                // Registry methods name the series in their first argument.
+                // `incr` is distinctive enough to check in its one-argument
+                // form; `add`/`observe`/`set_gauge` are common method names,
+                // so only their `(name, value)` arity counts — single-argument
+                // `Histogram::observe(v)` style calls stay exempt.
+                let registry_shape = match name.as_str() {
+                    "incr" => *argc == 1,
+                    "add" | "observe" | "set_gauge" => *argc >= 2,
+                    _ => false,
+                };
+                if registry_shape {
+                    out[fi].insert((
+                        *line,
+                        "R9",
+                        format!(
+                            "`.{name}(..)` with a computed metric name — dynamic names mint \
+                             unbounded time series; use a static string literal (put variance \
+                             in a bounded label)"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,21 +520,17 @@ mod tests {
     use crate::parser::parse_file;
 
     fn findings(srcs: &[(&str, &str)]) -> Vec<(String, u32, &'static str, String)> {
-        let files: Vec<FileModel> = srcs
-            .iter()
-            .map(|(p, s)| {
-                let lexed = lex(s);
-                let mask = vec![false; lexed.toks.len()];
-                parse_file(p, &lexed, &mask)
-            })
-            .collect();
+        let files: Vec<FileModel> = srcs.iter().map(|(p, s)| parse_file(p, &lex(s))).collect();
         let graph = CallGraph::build(&files);
-        let mut out: Vec<BTreeSet<(u32, &'static str, String)>> =
-            files.iter().map(|_| BTreeSet::new()).collect();
+        let mut out: Vec<FileFindings> = files.iter().map(|_| BTreeSet::new()).collect();
         run(&files, &graph, &mut out);
         let mut flat = Vec::new();
         for (fi, set) in out.into_iter().enumerate() {
+            // R2/R5/R9 are exercised through `rules::analyze`.
             for (line, rule, msg) in set {
+                if !matches!(rule, "R6" | "R7" | "R8") {
+                    continue;
+                }
                 flat.push((files[fi].path.clone(), line, rule, msg));
             }
         }

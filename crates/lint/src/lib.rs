@@ -5,12 +5,14 @@
 //! aom-ordered stream deterministically and surviving arbitrary
 //! Byzantine input without crashing. This crate checks those
 //! invariants mechanically over the sans-IO protocol crates; see
-//! [`rules`] for the rule set and DESIGN.md §10 for the rationale.
+//! [`dataflow`] for the rule set and DESIGN.md §10 for the rationale.
+//! The gate is "zero findings": every finding is fixed or carries an
+//! inline waiver with its reason.
 //!
 //! Deliberately zero-dependency: the build environment for this repo
 //! cannot assume a crates.io mirror, so parsing is a hand-rolled token
-//! stream ([`lexer`]) rather than `syn`, and reports are emitted with
-//! hand-rolled JSON ([`report`]).
+//! stream ([`lexer`]) feeding an item model ([`parser`]) rather than
+//! `syn`.
 
 pub mod callgraph;
 pub mod dataflow;
@@ -25,8 +27,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Directories linted by default, relative to the workspace root: the
-/// sans-IO protocol crates. `sim`/`net`/`bench` are runtime crates and
-/// legitimately touch wall clocks and unordered collections.
+/// sans-IO protocol crates. The same six crates carry the clippy
+/// determinism lints (`clippy.toml` + `[lints.clippy]` in each);
+/// `sim`/`switch`/`bench`/`store` and the root runtime legitimately touch
+/// wall clocks and unordered collections.
 pub const DEFAULT_SCOPE: &[&str] = &[
     "crates/app/src",
     "crates/aom/src",
@@ -37,7 +41,7 @@ pub const DEFAULT_SCOPE: &[&str] = &[
 ];
 
 /// Recursively collect `.rs` files under `path` (or `path` itself if it
-/// is a file), sorted for deterministic report and baseline output.
+/// is a file), sorted for deterministic report output.
 pub fn collect_rs_files(path: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     collect_into(path, &mut out)?;
@@ -75,8 +79,8 @@ fn collect_into(path: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// absolute or relative to `root`). Findings carry root-relative paths
 /// with forward slashes; results are sorted by (file, line, rule).
 pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> io::Result<Vec<Finding>> {
-    // Load everything first: the R6–R8 dataflow pass builds one call
-    // graph spanning every linted file.
+    // Load everything first: the rules run over one call graph spanning
+    // every linted file.
     let mut sources: Vec<(String, String)> = Vec::new();
     for p in paths {
         let abs = if p.is_absolute() {

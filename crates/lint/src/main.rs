@@ -1,8 +1,7 @@
 //! `neo-lint` CLI.
 //!
 //! ```text
-//! neo-lint [--root DIR] [--format text|json|sarif] [--baseline FILE]
-//!          [--write-baseline] [--no-baseline] [paths...]
+//! neo-lint [--root DIR] [paths...]
 //! ```
 //!
 //! With no paths, lints the default sans-IO scope under `--root`
@@ -10,27 +9,10 @@
 //! override the scope — used by CI to prove the gate trips on a seeded
 //! violation fixture.
 //!
-//! Exit codes: 0 = clean or fully baselined; 1 = findings beyond the
-//! baseline; 2 = usage or I/O error.
+//! Exit codes: 0 = no findings; 1 = findings; 2 = usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-struct Opts {
-    root: PathBuf,
-    format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: bool,
-    no_baseline: bool,
-    paths: Vec<PathBuf>,
-}
-
-#[derive(PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
 
 /// Write to stdout, ignoring a closed pipe (`neo-lint | head` must not
 /// panic — R2 applies to us too).
@@ -42,8 +24,7 @@ fn emit(s: &str) {
 fn usage() -> String {
     let mut s = String::from(
         "neo-lint: protocol-invariant static analysis for the NeoBFT workspace\n\n\
-         usage: neo-lint [--root DIR] [--format text|json|sarif] [--baseline FILE]\n\
-         \x20               [--write-baseline] [--no-baseline] [paths...]\n\nrules:\n",
+         usage: neo-lint [--root DIR] [paths...]\n\nrules:\n",
     );
     for (id, name) in neo_lint::rules::RULES {
         s.push_str("  ");
@@ -55,44 +36,24 @@ fn usage() -> String {
     s
 }
 
-fn parse_args() -> Result<Opts, String> {
-    let mut opts = Opts {
-        root: PathBuf::from("."),
-        format: Format::Text,
-        baseline: None,
-        write_baseline: false,
-        no_baseline: false,
-        paths: Vec::new(),
-    };
+/// `(root, paths)`; `Err("")` asks for the usage text.
+fn parse_args() -> Result<(PathBuf, Vec<PathBuf>), String> {
+    let mut root = PathBuf::from(".");
+    let mut paths = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--root" => {
-                opts.root = PathBuf::from(args.next().ok_or("--root needs a value")?);
-            }
-            "--format" => match args.next().as_deref() {
-                Some("text") => opts.format = Format::Text,
-                Some("json") => opts.format = Format::Json,
-                Some("sarif") => opts.format = Format::Sarif,
-                _ => return Err("--format must be `text`, `json`, or `sarif`".into()),
-            },
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a value")?,
-                ));
-            }
-            "--write-baseline" => opts.write_baseline = true,
-            "--no-baseline" => opts.no_baseline = true,
+            "--root" => root = PathBuf::from(args.next().ok_or("--root needs a value")?),
             "--help" | "-h" => return Err(String::new()),
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
-            path => opts.paths.push(PathBuf::from(path)),
+            path => paths.push(PathBuf::from(path)),
         }
     }
-    Ok(opts)
+    Ok((root, paths))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let (root, paths) = match parse_args() {
         Ok(o) => o,
         Err(e) => {
             if e.is_empty() {
@@ -104,10 +65,10 @@ fn main() -> ExitCode {
         }
     };
 
-    let findings = if opts.paths.is_empty() {
-        neo_lint::lint_default_scope(&opts.root)
+    let findings = if paths.is_empty() {
+        neo_lint::lint_default_scope(&root)
     } else {
-        neo_lint::lint_paths(&opts.root, &opts.paths)
+        neo_lint::lint_paths(&root, &paths)
     };
     let findings = match findings {
         Ok(f) => f,
@@ -117,62 +78,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.tsv"));
-
-    if opts.write_baseline {
-        let s = neo_lint::report::baseline_to_string(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, s) {
-            eprintln!("error: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "wrote baseline for {} finding(s) to {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = if opts.no_baseline {
-        Default::default()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(s) => neo_lint::report::parse_baseline(&s),
-            Err(_) => Default::default(), // no baseline file: everything is new
-        }
-    };
-    let violations = neo_lint::report::compare_to_baseline(&findings, &baseline);
-    let ok = violations.is_empty();
-
-    match opts.format {
-        Format::Text => {
-            emit(&neo_lint::report::to_text(&findings));
-            if ok {
-                eprintln!(
-                    "neo-lint: {} finding(s), all within baseline",
-                    findings.len()
-                );
-            } else {
-                eprintln!("neo-lint: findings beyond baseline:");
-                for v in &violations {
-                    eprintln!("  {v}");
-                }
-            }
-        }
-        Format::Json => {
-            emit(&neo_lint::report::to_json(&findings, &violations, ok));
-        }
-        Format::Sarif => {
-            emit(&neo_lint::report::to_sarif(
-                &findings,
-                neo_lint::rules::RULES,
-            ));
-        }
-    }
-    if ok {
+    emit(&neo_lint::report::to_text(&findings));
+    eprintln!("neo-lint: {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -1,18 +1,20 @@
-//! Pass 1 of the two-pass analyzer: parse the lexer's token stream
-//! into a lightweight item model.
+//! The one front end: parse the lexer's token stream into a lightweight
+//! item model that every rule reads.
 //!
-//! The model captures exactly what the dataflow rules (R6–R8) need and
-//! nothing more: functions with their `impl` owner and a block tree of
-//! statements, where each statement carries its ordered call /
-//! field-write / early-exit events; structs with their fields, map
-//! container + key type (the R4/R5 universe), and `replicated`
-//! markers. It is deliberately *not* a Rust parser — it never rejects
-//! input, it just extracts a conservative skeleton from token shapes,
-//! the same philosophy as the lexer.
+//! The model captures exactly what the rules need and nothing more:
+//! functions with their `impl` owner and a block tree of statements,
+//! where each statement carries its ordered call / field-write / index /
+//! early-exit events; structs with their fields, map container + key
+//! type (the R5 universe), and `replicated` markers. `#[cfg(test)]` /
+//! `#[test]` items are flagged (functions) or dropped (structs), and
+//! `#[..]` attributes never yield events. It is deliberately *not* a
+//! Rust parser — it never rejects input, it just extracts a
+//! conservative skeleton from token shapes, the same philosophy as the
+//! lexer.
 
 use crate::lexer::{Lexed, Marker, Tok, TokKind};
 
-/// Everything the dataflow pass needs to know about one file.
+/// Everything the rules need to know about one file.
 pub struct FileModel {
     /// Repo-relative path (forward slashes) for findings.
     pub path: String,
@@ -126,8 +128,20 @@ pub enum Event {
         /// Dotted receiver chain idents, e.g. `self.aom.on_packet(..)`
         /// → `["self", "aom"]`. Empty for free/path calls.
         recv: Vec<String>,
+        /// Line of the last `recv` segment (the call line when `recv` is
+        /// empty): in a multi-line method chain, the line a waiver for the
+        /// receiving field sits above.
+        recv_line: u32,
         /// True for `name!(..)` macro invocations.
         is_macro: bool,
+        /// True when written `expr.name(..)`. `recv` only holds the ident
+        /// part of `expr`, so it can be empty for a method call
+        /// (`(a + b).name()`, `x?.name()`).
+        method: bool,
+        /// Number of top-level arguments (0 for macros).
+        argc: usize,
+        /// True when the first argument starts with a string literal.
+        lit_first: bool,
         /// Call line.
         line: u32,
     },
@@ -142,6 +156,12 @@ pub enum Event {
         /// Write line.
         line: u32,
     },
+    /// Indexing or slicing, `expr[..]`: a `[` that follows an ident, `)`
+    /// or `]` (so not an attribute, array literal/type, or `m![..]`).
+    Index {
+        /// Line of the `[`.
+        line: u32,
+    },
     /// `return` or `?` — an early-exit point (guard recognition).
     EarlyExit {
         /// Line of the exit.
@@ -153,9 +173,10 @@ impl Event {
     /// The line an event is anchored at.
     pub fn line(&self) -> u32 {
         match self {
-            Event::Call { line, .. } | Event::Write { line, .. } | Event::EarlyExit { line } => {
-                *line
-            }
+            Event::Call { line, .. }
+            | Event::Write { line, .. }
+            | Event::Index { line }
+            | Event::EarlyExit { line } => *line,
         }
     }
 }
@@ -181,10 +202,10 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "static", "unsafe", "async", "await", "dyn", "box",
 ];
 
-/// Build the item model for one lexed file. `is_test` is the per-token
-/// test mask from `test_and_attr_masks`.
-pub fn parse_file(path: &str, lexed: &Lexed, is_test: &[bool]) -> FileModel {
+/// Build the item model for one lexed file.
+pub fn parse_file(path: &str, lexed: &Lexed) -> FileModel {
     let toks = &lexed.toks;
+    let is_test = test_mask(toks);
     let mut structs = Vec::new();
     let mut functions = Vec::new();
     let mut i = 0usize;
@@ -200,7 +221,7 @@ pub fn parse_file(path: &str, lexed: &Lexed, is_test: &[bool]) -> FileModel {
         }
         let t = &toks[i];
         if t.is_ident("struct")
-            && !is_test.get(i).copied().unwrap_or(false)
+            && !is_test[i]
             && toks.get(i + 1).map(|n| n.kind == TokKind::Ident) == Some(true)
         {
             let (model, next) = parse_struct(toks, i, &lexed.markers);
@@ -222,7 +243,7 @@ pub fn parse_file(path: &str, lexed: &Lexed, is_test: &[bool]) -> FileModel {
                 toks,
                 i,
                 owner_stack.last().map(|(ty, _)| ty.clone()),
-                is_test.get(i).copied().unwrap_or(false),
+                is_test[i],
                 &lexed.markers,
             );
             if let Some(m) = model {
@@ -239,6 +260,53 @@ pub fn parse_file(path: &str, lexed: &Lexed, is_test: &[bool]) -> FileModel {
         structs,
         functions,
     }
+}
+
+/// Per token: does it sit inside a `#[cfg(test)]` / `#[test]` item? The
+/// mask covers the attribute, any attributes stacked under it, and the
+/// item that follows (to the `}` matching its first brace, or to `;`
+/// if it has no body).
+fn test_mask(toks: &[Tok]) -> Vec<bool> {
+    let mut test = vec![false; toks.len()];
+    let mut i = 0usize;
+    while i < toks.len() {
+        let Some(end) = attr_end(toks, i) else {
+            i += 1;
+            continue;
+        };
+        let start = i;
+        i = end;
+        if !toks[start..end].iter().any(|t| t.is_ident("test")) {
+            continue;
+        }
+        while let Some(e) = attr_end(toks, i) {
+            i = e;
+        }
+        let mut brace = 0i64;
+        while i < toks.len() {
+            let t = &toks[i];
+            i += 1;
+            if t.is_punct('{') {
+                brace += 1;
+            } else if t.is_punct('}') {
+                brace -= 1;
+                if brace == 0 {
+                    break;
+                }
+            } else if t.is_punct(';') && brace == 0 {
+                break;
+            }
+        }
+        test[start..i].fill(true);
+    }
+    test
+}
+
+/// If an outer attribute `#[..]` starts at `i`, the index just past its
+/// `]`.
+fn attr_end(toks: &[Tok], i: usize) -> Option<usize> {
+    (toks.get(i)?.is_punct('#') && toks.get(i + 1)?.is_punct('['))
+        .then(|| skip_balanced(toks, i + 1, '[', ']'))
 }
 
 /// True if a marker of `kind` sits on `line` or the line above.
@@ -335,10 +403,10 @@ fn parse_struct(toks: &[Tok], i: usize, markers: &[Marker]) -> (Option<StructMod
     let mut k = j + 1;
     while k < end.saturating_sub(1) {
         // Skip attributes and visibility.
-        while k + 1 < end && toks[k].is_punct('#') && toks[k + 1].is_punct('[') {
-            k = skip_balanced(toks, k + 1, '[', ']');
+        while let Some(e) = attr_end(toks, k) {
+            k = e;
         }
-        if toks[k].is_ident("pub") {
+        if k < end && toks[k].is_ident("pub") {
             k += 1;
             if k < end && toks[k].is_punct('(') {
                 k = skip_balanced(toks, k, '(', ')');
@@ -515,6 +583,21 @@ fn parse_block(toks: &[Tok], start: usize, end: usize, out: &mut Block) {
             flush_stmt(&mut stmt, out, toks, k);
             continue;
         }
+        if let Some(e) = attr_end(toks, k) {
+            k = e;
+            continue;
+        }
+        if t.is_punct('[')
+            && k > 0
+            && (toks[k - 1].kind == TokKind::Ident
+                || toks[k - 1].is_punct(')')
+                || toks[k - 1].is_punct(']'))
+        {
+            stmt.parts
+                .push(StmtPart::Event(Event::Index { line: t.line }));
+            k += 1;
+            continue;
+        }
         if t.is_ident("return") {
             stmt.parts
                 .push(StmtPart::Event(Event::EarlyExit { line: t.line }));
@@ -539,7 +622,11 @@ fn parse_block(toks: &[Tok], start: usize, end: usize, out: &mut Block) {
                 stmt.parts.push(StmtPart::Event(Event::Call {
                     name: t.text.clone(),
                     recv: Vec::new(),
+                    recv_line: t.line,
                     is_macro: true,
+                    method: false,
+                    argc: 0,
+                    lit_first: false,
                     line: t.line,
                 }));
                 k += 2; // the macro body is still scanned for nested events
@@ -547,15 +634,21 @@ fn parse_block(toks: &[Tok], start: usize, end: usize, out: &mut Block) {
             }
             // `ident(..)` call — plain, path (`a::b(`), or method (`.b(`).
             if toks.get(k + 1).map(|n| n.is_punct('(')) == Some(true) {
-                let recv = receiver_chain(toks, k);
+                let chain = receiver_chain(toks, k);
+                let recv: Vec<String> = chain.iter().map(|&i| toks[i].text.clone()).collect();
                 let name = t.text.clone();
                 let line = t.line;
                 // `.entry(..).or_*` counts as a write of the field.
                 let write = write_event(toks, k, &name, &recv);
+                let (argc, lit_first) = call_args(&toks[k + 1..end.min(toks.len())]);
                 stmt.parts.push(StmtPart::Event(Event::Call {
                     name,
                     recv,
+                    recv_line: chain.last().map_or(line, |&i| toks[i].line),
                     is_macro: false,
+                    method: k > 0 && toks[k - 1].is_punct('.'),
+                    argc,
+                    lit_first,
                     line,
                 }));
                 if let Some(w) = write {
@@ -591,9 +684,10 @@ fn flush_stmt(stmt: &mut Stmt, out: &mut Block, toks: &[Tok], next: usize) {
 }
 
 /// Walk the dotted receiver chain backwards from a call ident at `k`:
-/// `self.aom.on_packet(` → `["self", "aom"]`. Balanced `(..)` / `[..]`
-/// groups in the chain (`.entry(s).or_default(`) are skipped.
-fn receiver_chain(toks: &[Tok], k: usize) -> Vec<String> {
+/// `self.aom.on_packet(` → the token indices of `self` and `aom`.
+/// Balanced `(..)` / `[..]` groups in the chain
+/// (`.entry(s).or_default(`) are skipped.
+fn receiver_chain(toks: &[Tok], k: usize) -> Vec<usize> {
     let mut chain = Vec::new();
     let mut j = k;
     loop {
@@ -631,7 +725,7 @@ fn receiver_chain(toks: &[Tok], k: usize) -> Vec<String> {
         }
         let Some(t) = toks.get(p) else { break };
         if t.kind == TokKind::Ident {
-            chain.push(t.text.clone());
+            chain.push(p);
             j = p;
             continue;
         }
@@ -639,6 +733,38 @@ fn receiver_chain(toks: &[Tok], k: usize) -> Vec<String> {
     }
     chain.reverse();
     chain
+}
+
+/// Shape of the argument list whose `(` is `toks[0]`: the number of
+/// top-level arguments (counted by commas, so a trailing comma counts
+/// one more) and whether the first one starts with a string literal.
+fn call_args(toks: &[Tok]) -> (usize, bool) {
+    let mut depth = 0i64;
+    let mut commas = 0usize;
+    let mut first: Option<&Tok> = None;
+    for t in toks {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        } else if depth == 1 {
+            if t.is_punct(',') {
+                commas += 1;
+            } else if first.is_none() {
+                first = Some(t);
+            }
+        }
+    }
+    match first {
+        Some(t) => (
+            commas + 1,
+            t.kind == TokKind::Literal && t.text.starts_with('"'),
+        ),
+        None => (0, false),
+    }
 }
 
 /// Decide whether the call at `k` is a write of a field: a mutating
@@ -703,9 +829,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn model(src: &str) -> FileModel {
-        let lexed = lex(src);
-        let is_test = vec![false; lexed.toks.len()];
-        parse_file("test.rs", &lexed, &is_test)
+        parse_file("test.rs", &lex(src))
     }
 
     #[test]
@@ -806,6 +930,7 @@ mod tests {
             .map(|e| match e {
                 Event::Call { name, .. } => format!("call:{name}"),
                 Event::Write { field, .. } => format!("write:{field}"),
+                Event::Index { .. } => "index".to_string(),
                 Event::EarlyExit { .. } => "exit".to_string(),
             })
             .collect();
@@ -840,5 +965,117 @@ mod tests {
         let m = model(src);
         assert!(m.functions[0].verified_input);
         assert!(!m.functions[1].verified_input);
+    }
+
+    fn calls(f: &FnModel) -> Vec<&Event> {
+        f.linear_events()
+            .into_iter()
+            .filter(|e| matches!(e, Event::Call { .. }))
+            .collect()
+    }
+
+    #[test]
+    fn index_events_skip_attributes_types_and_macro_brackets() {
+        let src = "fn on_x(b: &[u8]) {\n\
+                   #[allow(unused)]\n\
+                   let a: [u8; 2] = [0, 1];\n\
+                   let v = vec![1];\n\
+                   let x = b[0] + f(b)[1] + m[0][1];\n\
+                   }";
+        let m = model(src);
+        let lines: Vec<u32> = m.functions[0]
+            .linear_events()
+            .into_iter()
+            .filter(|e| matches!(e, Event::Index { .. }))
+            .map(Event::line)
+            .collect();
+        // `b[0]`, `f(b)[1]`, `m[0]`, `..[1]` — all on line 5.
+        assert_eq!(lines, vec![5, 5, 5, 5]);
+        // The attribute's `allow(..)` is not a call either.
+        assert!(calls(&m.functions[0])
+            .iter()
+            .all(|e| !matches!(e, Event::Call { name, .. } if name == "allow")));
+    }
+
+    #[test]
+    fn call_shape_counts_arguments_and_spots_a_literal_first() {
+        let src = "fn f(m: &M) {\n\
+                   m.incr(\"a.b\");\n\
+                   m.observe(&name(p, q), v);\n\
+                   m.add(r#\"raw\"#, g(1, 2));\n\
+                   tick();\n\
+                   }";
+        let m = model(src);
+        let shapes: Vec<(&str, usize, bool)> = calls(&m.functions[0])
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Call {
+                    name,
+                    argc,
+                    lit_first,
+                    ..
+                } => Some((name.as_str(), *argc, *lit_first)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            shapes,
+            vec![
+                ("incr", 1, true),
+                ("observe", 2, false),
+                ("name", 2, false),
+                ("add", 2, true),
+                ("g", 2, false),
+                ("tick", 0, false),
+            ]
+        );
+    }
+
+    #[test]
+    fn method_flag_and_receiver_line() {
+        let src = "fn f(&mut self) {\n\
+                   (a + b).unwrap();\n\
+                   unwrap(x);\n\
+                   self.table\n\
+                   .insert(k, v);\n\
+                   }";
+        let m = model(src);
+        let got: Vec<(&str, bool, usize, u32, u32)> = calls(&m.functions[0])
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Call {
+                    name,
+                    method,
+                    recv,
+                    recv_line,
+                    line,
+                    ..
+                } => Some((name.as_str(), *method, recv.len(), *recv_line, *line)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                ("unwrap", true, 0, 2, 2),
+                ("unwrap", false, 0, 3, 3),
+                ("insert", true, 2, 4, 5),
+            ]
+        );
+    }
+
+    #[test]
+    fn test_items_are_flagged_or_dropped() {
+        let src = "#[cfg(test)]\nmod t { struct Hidden { m: HashMap<u64, u64> } fn on_a() {} }\n\
+                   #[test]\n#[ignore]\nfn on_b() {}\n\
+                   fn on_c() {}";
+        let m = model(src);
+        assert!(m.structs.is_empty());
+        let flags: Vec<(&str, bool)> = m
+            .functions
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_test))
+            .collect();
+        assert_eq!(flags, vec![("on_a", true), ("on_b", true), ("on_c", false)]);
     }
 }

@@ -1,18 +1,11 @@
-//! Finding type, text/JSON rendering, and the baseline file format.
-//!
-//! The baseline is a plain TSV (`rule<TAB>file<TAB>count`) rather than
-//! JSON so it can be read and written with zero dependencies and diffs
-//! stay one-line-per-change in review. JSON is emitted (never parsed)
-//! for machine consumers; emission is hand-rolled with full string
-//! escaping.
+//! The finding type and its text rendering.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Finding {
-    /// Rule id (`R1`..`R5`).
+    /// Rule id (see [`crate::rules::RULES`]).
     pub rule: &'static str,
     /// Repo-relative path with forward slashes.
     pub file: String,
@@ -29,244 +22,4 @@ pub fn to_text(findings: &[Finding]) -> String {
         let _ = writeln!(s, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     s
-}
-
-/// Render the machine-readable JSON report.
-pub fn to_json(findings: &[Finding], new_findings: &[String], ok: bool) -> String {
-    let mut s = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            f.rule,
-            esc(&f.file),
-            f.line,
-            esc(&f.message)
-        );
-    }
-    if !findings.is_empty() {
-        s.push('\n');
-        s.push_str("  ");
-    }
-    s.push_str("],\n  \"summary\": {");
-    let mut per_rule: BTreeMap<&str, usize> = BTreeMap::new();
-    for f in findings {
-        *per_rule.entry(f.rule).or_insert(0) += 1;
-    }
-    for (i, (rule, n)) in per_rule.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{rule}\": {n}");
-    }
-    let _ = write!(s, "}},\n  \"total\": {},\n  \"new\": [", findings.len());
-    for (i, v) in new_findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\n    \"{}\"", esc(v));
-    }
-    if !new_findings.is_empty() {
-        s.push_str("\n  ");
-    }
-    let _ = write!(s, "],\n  \"ok\": {ok}\n}}\n");
-    s
-}
-
-/// Render a minimal SARIF 2.1.0 log, the format GitHub code scanning
-/// ingests to turn findings into PR annotations. `rules` is the
-/// (id, name) table ([`crate::rules::RULES`]); every finding is
-/// reported at `error` level — the baseline gate, not SARIF, decides
-/// pass/fail.
-pub fn to_sarif(findings: &[Finding], rules: &[(&str, &str)]) -> String {
-    let mut s = String::from(
-        "{\n  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"version\": \"2.1.0\",\n  \"runs\": [\n    {\n      \"tool\": {\n        \
-         \"driver\": {\n          \"name\": \"neo-lint\",\n          \
-         \"informationUri\": \"https://github.com/example/neobft-rs\",\n          \
-         \"rules\": [",
-    );
-    for (i, (id, name)) in rules.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n            {{\"id\": \"{}\", \"name\": \"{}\", \
-             \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            esc(id),
-            esc(name),
-            esc(name)
-        );
-    }
-    if !rules.is_empty() {
-        s.push_str("\n          ");
-    }
-    s.push_str("]\n        }\n      },\n      \"results\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n        {{\n          \"ruleId\": \"{}\",\n          \"level\": \"error\",\n          \
-             \"message\": {{\"text\": \"{}\"}},\n          \"locations\": [\n            \
-             {{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\", \
-             \"uriBaseId\": \"%SRCROOT%\"}}, \"region\": {{\"startLine\": {}}}}}}}\n          ]\n        }}",
-            f.rule,
-            esc(&f.message),
-            esc(&f.file),
-            f.line
-        );
-    }
-    if !findings.is_empty() {
-        s.push_str("\n      ");
-    }
-    s.push_str("]\n    }\n  ]\n}\n");
-    s
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Per-(rule, file) finding counts, the unit the baseline ratchets on.
-pub fn count_by_rule_file(findings: &[Finding]) -> BTreeMap<(String, String), u32> {
-    let mut m = BTreeMap::new();
-    for f in findings {
-        *m.entry((f.rule.to_string(), f.file.clone())).or_insert(0) += 1;
-    }
-    m
-}
-
-/// Serialize the baseline: sorted `rule<TAB>file<TAB>count` lines.
-pub fn baseline_to_string(findings: &[Finding]) -> String {
-    let mut s = String::from(
-        "# neo-lint baseline: accepted finding counts per (rule, file).\n\
-         # Regenerate with `cargo run -p neo-lint -- --write-baseline`.\n\
-         # The gate fails when any (rule, file) pair exceeds its count here.\n",
-    );
-    for ((rule, file), n) in count_by_rule_file(findings) {
-        let _ = writeln!(s, "{rule}\t{file}\t{n}");
-    }
-    s
-}
-
-/// Parse a baseline file; unparseable lines are ignored so a corrupted
-/// baseline degrades to a stricter gate, not a crash.
-pub fn parse_baseline(s: &str) -> BTreeMap<(String, String), u32> {
-    let mut m = BTreeMap::new();
-    for line in s.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut it = line.split('\t');
-        let (Some(rule), Some(file), Some(n)) = (it.next(), it.next(), it.next()) else {
-            continue;
-        };
-        let Ok(n) = n.trim().parse::<u32>() else {
-            continue;
-        };
-        m.insert((rule.to_string(), file.to_string()), n);
-    }
-    m
-}
-
-/// Compare findings against a baseline. Returns human-readable
-/// violation strings for every (rule, file) pair whose count exceeds
-/// its baselined allowance (missing pairs have allowance 0).
-pub fn compare_to_baseline(
-    findings: &[Finding],
-    baseline: &BTreeMap<(String, String), u32>,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    for ((rule, file), n) in count_by_rule_file(findings) {
-        let allowed = baseline
-            .get(&(rule.clone(), file.clone()))
-            .copied()
-            .unwrap_or(0);
-        if n > allowed {
-            violations.push(format!(
-                "{rule} in {file}: {n} finding(s), baseline allows {allowed}"
-            ));
-        }
-    }
-    violations
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn f(rule: &'static str, file: &str, line: u32) -> Finding {
-        Finding {
-            rule,
-            file: file.to_string(),
-            line,
-            message: format!("msg \"quoted\" {line}"),
-        }
-    }
-
-    #[test]
-    fn baseline_roundtrip() {
-        let findings = vec![f("R1", "a.rs", 1), f("R1", "a.rs", 2), f("R2", "b.rs", 3)];
-        let s = baseline_to_string(&findings);
-        let parsed = parse_baseline(&s);
-        assert_eq!(parsed.get(&("R1".into(), "a.rs".into())), Some(&2));
-        assert_eq!(parsed.get(&("R2".into(), "b.rs".into())), Some(&1));
-    }
-
-    #[test]
-    fn compare_detects_growth_and_tolerates_shrink() {
-        let baseline = parse_baseline("R1\ta.rs\t1\nR2\tb.rs\t5\n");
-        let findings = vec![f("R1", "a.rs", 1), f("R1", "a.rs", 2), f("R2", "b.rs", 3)];
-        let v = compare_to_baseline(&findings, &baseline);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].starts_with("R1 in a.rs"));
-    }
-
-    #[test]
-    fn sarif_has_rules_and_locations() {
-        let findings = vec![f("R6", "crates/x/src/a.rs", 7)];
-        let rules = [("R6", "verify-before-mutate")];
-        let s = to_sarif(&findings, &rules);
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"id\": \"R6\""));
-        assert!(s.contains("\"ruleId\": \"R6\""));
-        assert!(s.contains("\"uri\": \"crates/x/src/a.rs\""));
-        assert!(s.contains("\"startLine\": 7"));
-        assert!(s.contains("msg \\\"quoted\\\" 7"));
-    }
-
-    #[test]
-    fn sarif_empty_findings_is_valid_shape() {
-        let s = to_sarif(&[], &[("R1", "x")]);
-        assert!(s.contains("\"results\": []"));
-    }
-
-    #[test]
-    fn json_is_escaped() {
-        let findings = vec![f("R1", "a.rs", 1)];
-        let j = to_json(&findings, &[], true);
-        assert!(j.contains("msg \\\"quoted\\\" 1"));
-        assert!(j.contains("\"ok\": true"));
-    }
 }

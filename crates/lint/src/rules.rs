@@ -1,106 +1,30 @@
-//! Rule evaluation entry points.
+//! Rule table and evaluation entry points.
 //!
-//! R1–R5 and R9 are token-stream rules (this module); R6–R8 are dataflow
-//! rules over the item model + call graph (see [`crate::parser`],
-//! [`crate::callgraph`], [`crate::dataflow`]). [`analyze_workspace`]
-//! runs both passes over every file at once so the call graph spans
-//! the workspace; [`analyze`] is the single-file convenience wrapper.
+//! One pass per file — lex, then parse into the item model
+//! ([`crate::parser`]) — then one call graph ([`crate::callgraph`]) and
+//! the six rules ([`crate::dataflow`]) over every file at once, so the
+//! graph spans the workspace. [`analyze`] is the single-file wrapper.
 //!
-//! R1 no-nondeterministic-iteration — iterating a `HashMap`/`HashSet`
-//!    field of protocol state (iteration order differs across
-//!    processes, a classic SMR divergence bug).
-//! R2 no-panic-in-handlers — `unwrap`/`expect`/`panic!`/indexing/
-//!    `unreachable!` reachable from `fn receive*`/`handle_*`/`on_*`
-//!    message paths; Byzantine input must degrade to a dropped
-//!    message, never a crash.
-//! R3 no-wall-clock-or-ambient-rand — `SystemTime`, `Instant::now`,
-//!    `thread_rng` etc. in sans-IO crates; time flows through
-//!    `Context`.
-//! R4 no-float-in-replicated-state — f32/f64 struct fields.
-//! R5 no-unbounded-collection-growth — inserting into a map keyed by
-//!    attacker-controlled data inside a handler — or a storage routine
-//!    (`replay_*`/`install_*`: replayed logs and state-transfer
-//!    payloads size recovery buffers) — with no bound.
-//! R9 static-metric-names — `metrics.incr(..)`/`add`/`observe`/
-//!    `set_gauge` called with a computed (non-literal) metric name.
-//!    Dynamic names mint unbounded time series — every scrape family
-//!    must be a static literal; variance belongs in bounded labels.
+//! Inline `// neo-lint: allow(rule, reason)` waivers suppress findings
+//! on the waiver's own line and the line below it.
 //!
-//! All rules honor `#[cfg(test)]`/`#[test]` regions (skipped) and
-//! inline `// neo-lint: allow(rule, reason)` waivers, which suppress
-//! findings on the waiver's own line and the line below it.
+//! R1 (HashMap/HashSet iteration), R3 (wall clock, ambient randomness)
+//! and R4 (floats) are clippy's: `iter_over_hash_type`,
+//! `disallowed_methods` and `disallowed_types`, configured by the
+//! `clippy.toml` of each crate in [`crate::DEFAULT_SCOPE`].
 
-use crate::lexer::{lex, Tok, TokKind, Waiver};
+use crate::lexer::{lex, Waiver};
 use crate::report::Finding;
-use std::collections::BTreeSet;
 
 /// Rule ids and their short names, for `--help` and docs.
 pub const RULES: &[(&str, &str)] = &[
-    ("R1", "no-nondeterministic-iteration"),
     ("R2", "no-panic-in-handlers"),
-    ("R3", "no-wall-clock-or-ambient-rand"),
-    ("R4", "no-float-in-replicated-state"),
     ("R5", "no-unbounded-collection-growth"),
     ("R6", "verify-before-mutate"),
     ("R7", "verify-charges-meter"),
     ("R8", "interprocedural-panic-reach"),
     ("R9", "static-metric-names"),
 ];
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "values",
-    "values_mut",
-    "into_values",
-    "keys",
-    "into_keys",
-    "drain",
-];
-
-const GROW_METHODS: &[&str] = &["insert", "entry"];
-
-/// Key types whose domain is fixed by the replica set / local runtime,
-/// so maps keyed by them cannot be grown by an attacker.
-const BOUNDED_KEYS: &[&str] = &["ReplicaId", "TimerId", "GroupId"];
-
-/// Key types an attacker can mint fresh values of at will.
-const UNBOUNDED_KEYS: &[&str] = &[
-    "ClientId",
-    "RequestId",
-    "SlotNum",
-    "SeqNum",
-    "EpochNum",
-    "ViewId",
-    "Digest",
-    "u64",
-    "u32",
-    "usize",
-    "String",
-    "Vec",
-];
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented", "assert"];
-
-/// Metric-registry methods whose first argument names the series.
-/// `incr` is distinctive enough to check in its one-argument form;
-/// `add`/`observe`/`set_gauge` are common method names, so they are
-/// only treated as registry calls in their `(name, value)` arity —
-/// single-argument `Histogram::observe(v)` style calls stay exempt.
-const METRIC_METHODS: &[&str] = &["incr", "add", "observe", "set_gauge"];
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Container {
-    Hash,
-    Btree,
-}
-
-struct MapField {
-    name: String,
-    container: Container,
-    key_ty: String,
-}
 
 /// Lint one file's source. `rel` is the path recorded in findings
 /// (repo-relative, forward slashes). The call graph is limited to the
@@ -109,57 +33,30 @@ pub fn analyze(rel: &str, src: &str) -> Vec<Finding> {
     analyze_workspace(&[(rel.to_string(), src.to_string())])
 }
 
-/// Lint a set of files as one workspace: token rules (R1–R5, R9) per file,
-/// then the item model + call graph + dataflow rules (R6–R8) across
-/// all of them. Waivers apply to both passes identically.
+/// Lint a set of `(path, source)` files as one workspace.
 pub fn analyze_workspace(files: &[(String, String)]) -> Vec<Finding> {
-    let mut raw: Vec<BTreeSet<(u32, &'static str, String)>> = Vec::with_capacity(files.len());
     let mut waivers = Vec::with_capacity(files.len());
     let mut models = Vec::with_capacity(files.len());
     for (rel, src) in files {
         let lexed = lex(src);
-        let toks = &lexed.toks;
-        let (is_test, is_attr) = test_and_attr_masks(toks);
-
-        let mut out: BTreeSet<(u32, &'static str, String)> = BTreeSet::new();
-        let fields = collect_fields(toks, &is_test, &is_attr, &mut out);
-        let handlers = fn_regions(toks, &is_test, is_handler_name);
-        let storage = fn_regions(toks, &is_test, is_storage_name);
-        rule_r1(toks, &is_test, &is_attr, &fields, &mut out);
-        rule_r2(toks, &is_attr, &handlers, &mut out);
-        rule_r3(toks, &is_test, &mut out);
-        rule_r5(toks, &is_attr, &handlers, &fields, "handler", &mut out);
-        rule_r5(
-            toks,
-            &is_attr,
-            &storage,
-            &fields,
-            "storage routine",
-            &mut out,
-        );
-        rule_r9(toks, &is_test, &is_attr, &mut out);
-        raw.push(out);
-
-        models.push(crate::parser::parse_file(rel, &lexed, &is_test));
+        models.push(crate::parser::parse_file(rel, &lexed));
         waivers.push(lexed.waivers);
     }
-
     let graph = crate::callgraph::CallGraph::build(&models);
+    let mut raw = vec![crate::dataflow::FileFindings::new(); files.len()];
     crate::dataflow::run(&models, &graph, &mut raw);
 
     let mut findings = Vec::new();
-    for (fi, set) in raw.into_iter().enumerate() {
-        let rel = &files[fi].0;
+    for ((set, waivers), (rel, _)) in raw.into_iter().zip(&waivers).zip(files) {
         for (line, rule, message) in set {
-            if is_waived(&waivers[fi], line, rule) {
-                continue;
+            if !is_waived(waivers, line, rule) {
+                findings.push(Finding {
+                    rule,
+                    file: rel.clone(),
+                    line,
+                    message,
+                });
             }
-            findings.push(Finding {
-                rule,
-                file: rel.clone(),
-                line,
-                message,
-            });
         }
     }
     findings
@@ -172,797 +69,12 @@ fn is_waived(waivers: &[Waiver], line: u32, rule: &str) -> bool {
         .any(|w| (w.rule == "*" || w.rule == id) && (w.line == line || w.line + 1 == line))
 }
 
-/// Compute, per token, whether it sits inside a `#[cfg(test)]`/`#[test]`
-/// item (skipped by every rule) or inside any `#[...]` attribute
-/// (skipped by the indexing check).
-fn test_and_attr_masks(toks: &[Tok]) -> (Vec<bool>, Vec<bool>) {
-    let mut test = vec![false; toks.len()];
-    let mut attr = vec![false; toks.len()];
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !(toks[i].is_punct('#') && i + 1 < toks.len() && toks[i + 1].is_punct('[')) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let (end, has_test) = consume_attr(toks, i);
-        for m in &mut attr[start..end] {
-            *m = true;
-        }
-        i = end;
-        if !has_test {
-            continue;
-        }
-        // Mark the attribute, any stacked attributes, and the whole
-        // following item (to the matching `}` of its first top-level
-        // brace, or to `;` if the item has no body).
-        for m in &mut test[start..end] {
-            *m = true;
-        }
-        while i + 1 < toks.len() && toks[i].is_punct('#') && toks[i + 1].is_punct('[') {
-            let s2 = i;
-            let (e2, _) = consume_attr(toks, i);
-            for k in s2..e2 {
-                attr[k] = true;
-                test[k] = true;
-            }
-            i = e2;
-        }
-        let body_start = i;
-        let mut brace = 0i64;
-        let mut j = i;
-        while j < toks.len() {
-            if toks[j].is_punct('{') {
-                brace += 1;
-            } else if toks[j].is_punct('}') {
-                brace -= 1;
-                if brace == 0 {
-                    j += 1;
-                    break;
-                }
-            } else if toks[j].is_punct(';') && brace == 0 {
-                j += 1;
-                break;
-            }
-            j += 1;
-        }
-        for m in &mut test[body_start..j] {
-            *m = true;
-        }
-        i = j;
-    }
-    (test, attr)
-}
-
-/// Consume `#[ ... ]` starting at the `#`; returns (index past `]`,
-/// whether the attribute mentions the ident `test`).
-fn consume_attr(toks: &[Tok], i: usize) -> (usize, bool) {
-    let mut depth = 1i64;
-    let mut j = i + 2;
-    let mut has_test = false;
-    while j < toks.len() && depth > 0 {
-        if toks[j].is_punct('[') {
-            depth += 1;
-        } else if toks[j].is_punct(']') {
-            depth -= 1;
-        } else if toks[j].is_ident("test") {
-            has_test = true;
-        }
-        j += 1;
-    }
-    (j, has_test)
-}
-
-/// Scan struct bodies and `let` bindings for HashMap/HashSet/BTreeMap/
-/// BTreeSet declarations (feeding R1/R5) and emit R4 findings for
-/// float-typed struct fields.
-fn collect_fields(
-    toks: &[Tok],
-    is_test: &[bool],
-    is_attr: &[bool],
-    out: &mut BTreeSet<(u32, &'static str, String)>,
-) -> Vec<MapField> {
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if is_test[i] {
-            i += 1;
-            continue;
-        }
-        if toks[i].is_ident("struct") && i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident {
-            i = scan_struct(toks, i + 2, &mut fields, out);
-            continue;
-        }
-        if toks[i].is_ident("let") {
-            i = scan_let(toks, i + 1, &mut fields);
-            continue;
-        }
-        let _ = is_attr;
-        i += 1;
-    }
-    fields
-}
-
-/// Parse a struct body starting after the struct's name; returns the
-/// index to resume scanning from.
-fn scan_struct(
-    toks: &[Tok],
-    mut i: usize,
-    fields: &mut Vec<MapField>,
-    out: &mut BTreeSet<(u32, &'static str, String)>,
-) -> usize {
-    // Skip generics / where clause up to `{`; `;` or `(` means a unit
-    // or tuple struct — no named fields to track.
-    let mut angle = 0i64;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.is_punct('<') {
-            angle += 1;
-        } else if t.is_punct('>') {
-            if i > 0 && toks[i - 1].is_punct('-') {
-                // `->` in a where-clause Fn bound, not a generic close.
-            } else if angle > 0 {
-                angle -= 1;
-            }
-        } else if angle == 0 {
-            if t.is_punct('{') {
-                break;
-            }
-            if t.is_punct(';') || t.is_punct('(') {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    if i >= toks.len() {
-        return i;
-    }
-    i += 1; // past `{`
-    loop {
-        // Skip field attributes.
-        while i + 1 < toks.len() && toks[i].is_punct('#') && toks[i + 1].is_punct('[') {
-            let (e, _) = consume_attr(toks, i);
-            i = e;
-        }
-        if i >= toks.len() || toks[i].is_punct('}') {
-            return i + 1;
-        }
-        if toks[i].is_ident("pub") {
-            i += 1;
-            if i < toks.len() && toks[i].is_punct('(') {
-                i = skip_balanced(toks, i, '(', ')');
-            }
-        }
-        if i >= toks.len() || toks[i].kind != TokKind::Ident {
-            // Malformed / unexpected; bail out of this struct.
-            return i + 1;
-        }
-        let fname = toks[i].text.clone();
-        let fline = toks[i].line;
-        i += 1;
-        if i >= toks.len() || !toks[i].is_punct(':') {
-            return i + 1;
-        }
-        i += 1;
-        // Collect the type tokens up to the field-separating `,` or the
-        // struct-closing `}`.
-        let ty_start = i;
-        let (mut angle, mut paren, mut bracket, mut brace) = (0i64, 0i64, 0i64, 0i64);
-        while i < toks.len() {
-            let t = &toks[i];
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                if i > 0 && toks[i - 1].is_punct('-') {
-                } else if angle > 0 {
-                    angle -= 1;
-                }
-            } else if t.is_punct('(') {
-                paren += 1;
-            } else if t.is_punct(')') {
-                paren -= 1;
-            } else if t.is_punct('[') {
-                bracket += 1;
-            } else if t.is_punct(']') {
-                bracket -= 1;
-            } else if t.is_punct('{') {
-                brace += 1;
-            } else if t.is_punct('}') {
-                if brace == 0 {
-                    break;
-                }
-                brace -= 1;
-            } else if t.is_punct(',') && angle == 0 && paren == 0 && bracket == 0 && brace == 0 {
-                break;
-            }
-            i += 1;
-        }
-        let ty = &toks[ty_start..i.min(toks.len())];
-        record_type(&fname, fline, ty, fields, Some(out));
-        if i < toks.len() && toks[i].is_punct(',') {
-            i += 1;
-            continue;
-        }
-        return i + 1; // at `}` (or EOF)
-    }
-}
-
-/// Track `let [mut] name: HashMap<..> = ..` and
-/// `let [mut] name = HashMap::new()` local bindings.
-fn scan_let(toks: &[Tok], mut i: usize, fields: &mut Vec<MapField>) -> usize {
-    if i < toks.len() && toks[i].is_ident("mut") {
-        i += 1;
-    }
-    if i >= toks.len() || toks[i].kind != TokKind::Ident {
-        return i;
-    }
-    let name = toks[i].text.clone();
-    let line = toks[i].line;
-    i += 1;
-    if i < toks.len() && toks[i].is_punct(':') {
-        let ty_start = i + 1;
-        let mut j = ty_start;
-        let mut angle = 0i64;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') {
-                if j > 0 && toks[j - 1].is_punct('-') {
-                } else if angle > 0 {
-                    angle -= 1;
-                }
-            } else if angle == 0 && (t.is_punct('=') || t.is_punct(';')) {
-                break;
-            }
-            j += 1;
-        }
-        record_type(
-            &name,
-            line,
-            &toks[ty_start..j.min(toks.len())],
-            fields,
-            None,
-        );
-        return j;
-    }
-    if i < toks.len() && toks[i].is_punct('=') {
-        // Look a few tokens ahead for `HashMap::new()` and friends.
-        let end = (i + 8).min(toks.len());
-        for t in &toks[i..end] {
-            if t.is_punct(';') {
-                break;
-            }
-            if t.kind == TokKind::Ident {
-                let c = match t.text.as_str() {
-                    "HashMap" | "HashSet" => Some(Container::Hash),
-                    "BTreeMap" | "BTreeSet" => Some(Container::Btree),
-                    _ => None,
-                };
-                if let Some(container) = c {
-                    fields.push(MapField {
-                        name,
-                        container,
-                        key_ty: String::new(),
-                    });
-                    return end;
-                }
-            }
-        }
-    }
-    i
-}
-
-/// Inspect a type token slice: record map/set declarations and emit R4
-/// float findings (struct fields only — `out` is None for locals).
-fn record_type(
-    name: &str,
-    line: u32,
-    ty: &[Tok],
-    fields: &mut Vec<MapField>,
-    out: Option<&mut BTreeSet<(u32, &'static str, String)>>,
-) {
-    if let Some(out) = out {
-        for t in ty {
-            if t.is_ident("f32") || t.is_ident("f64") {
-                out.insert((
-                    line,
-                    "R4",
-                    format!(
-                        "field `{name}` has float type `{}` in replicated state; floats are not \
-                         portably deterministic across platforms — use fixed-point or integers",
-                        t.text
-                    ),
-                ));
-                break;
-            }
-        }
-    }
-    for (k, t) in ty.iter().enumerate() {
-        let (container, is_map) = match t.text.as_str() {
-            "HashMap" => (Container::Hash, true),
-            "HashSet" => (Container::Hash, false),
-            "BTreeMap" => (Container::Btree, true),
-            "BTreeSet" => (Container::Btree, false),
-            _ => continue,
-        };
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let key_ty = extract_key_type(&ty[k + 1..], is_map);
-        fields.push(MapField {
-            name: name.to_string(),
-            container,
-            key_ty,
-        });
-        return; // outermost container wins
-    }
-}
-
-/// Given tokens starting at (hopefully) `<`, pull out the key type: up
-/// to the `,` at angle depth 1 for maps, to the closing `>` for sets.
-fn extract_key_type(ty: &[Tok], is_map: bool) -> String {
-    let mut angle = 0i64;
-    let mut parts = Vec::new();
-    for (j, t) in ty.iter().enumerate() {
-        if t.is_punct('<') {
-            angle += 1;
-            if angle == 1 {
-                continue;
-            }
-        } else if t.is_punct('>') {
-            if j > 0 && ty[j - 1].is_punct('-') {
-            } else {
-                angle -= 1;
-                if angle == 0 {
-                    break;
-                }
-            }
-        } else if t.is_punct(',') && angle == 1 && is_map {
-            break;
-        }
-        if angle >= 1 && t.kind == TokKind::Ident {
-            parts.push(t.text.clone());
-        }
-        if angle == 0 && j > 0 {
-            break; // never saw `<` where expected
-        }
-    }
-    parts.join(" ")
-}
-
-/// Find the token ranges of function bodies whose name satisfies
-/// `pred` — message handlers (`fn on_*`, `fn handle_*`, `fn receive*`)
-/// or storage routines (`fn replay_*`, `fn install_*`).
-fn fn_regions(
-    toks: &[Tok],
-    is_test: &[bool],
-    pred: fn(&str) -> bool,
-) -> Vec<(usize, usize, String)> {
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if is_test[i] || !toks[i].is_ident("fn") {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 1) else {
-            break;
-        };
-        if name_tok.kind != TokKind::Ident || !pred(&name_tok.text) {
-            i += 2;
-            continue;
-        }
-        // The first `{` after the signature opens the body (braces
-        // cannot appear in the signature itself).
-        let mut j = i + 2;
-        while j < toks.len() && !toks[j].is_punct('{') {
-            if toks[j].is_punct(';') {
-                break; // trait method declaration, no body
-            }
-            j += 1;
-        }
-        if j >= toks.len() || !toks[j].is_punct('{') {
-            i = j + 1;
-            continue;
-        }
-        let end = skip_balanced(toks, j, '{', '}');
-        regions.push((j, end, name_tok.text.clone()));
-        i = end;
-    }
-    regions
-}
-
-fn is_handler_name(name: &str) -> bool {
-    name.starts_with("on_") || name.starts_with("handle_") || name.starts_with("receive")
-}
-
-/// Storage routines: replay and state-transfer code paths whose input
-/// (a replayed log, a peer-served snapshot) sizes recovery buffers, so
-/// R5's growth-bound discipline applies there too (mirrors the R6
-/// storage-entry vocabulary in [`crate::dataflow`]).
-fn is_storage_name(name: &str) -> bool {
-    name.starts_with("replay_") || name.starts_with("install_")
-}
-
-/// Skip a balanced `open ... close` region starting at the `open`
-/// token; returns the index just past the matching close.
-fn skip_balanced(toks: &[Tok], start: usize, open: char, close: char) -> usize {
-    let mut depth = 0i64;
-    let mut i = start;
-    while i < toks.len() {
-        if toks[i].is_punct(open) {
-            depth += 1;
-        } else if toks[i].is_punct(close) {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    i
-}
-
-/// R1: `field.iter()/values()/keys()/drain()/...` on a Hash container,
-/// and `for .. in [&[mut]] field` loops.
-fn rule_r1(
-    toks: &[Tok],
-    is_test: &[bool],
-    is_attr: &[bool],
-    fields: &[MapField],
-    out: &mut BTreeSet<(u32, &'static str, String)>,
-) {
-    let hash_names: BTreeSet<&str> = fields
-        .iter()
-        .filter(|f| f.container == Container::Hash)
-        .map(|f| f.name.as_str())
-        .collect();
-    if hash_names.is_empty() {
-        return;
-    }
-    for k in 0..toks.len() {
-        if is_test[k] || is_attr[k] {
-            continue;
-        }
-        let t = &toks[k];
-        // field . method (
-        if t.kind == TokKind::Ident
-            && hash_names.contains(t.text.as_str())
-            && k + 3 < toks.len()
-            && toks[k + 1].is_punct('.')
-            && toks[k + 2].kind == TokKind::Ident
-            && ITER_METHODS.contains(&toks[k + 2].text.as_str())
-            && toks[k + 3].is_punct('(')
-        {
-            // Anchor at the field token: in a multi-line method chain
-            // that is the expression-start line a waiver sits above.
-            out.insert((
-                t.line,
-                "R1",
-                format!(
-                    "`{}.{}()` iterates a HashMap/HashSet — iteration order is nondeterministic \
-                     across processes; use BTreeMap/BTreeSet or sort before use",
-                    t.text,
-                    toks[k + 2].text
-                ),
-            ));
-        }
-        // for .. in <expr ending in field> {
-        if t.is_ident("for") {
-            let mut j = k + 1;
-            let mut found_in = None;
-            while j < toks.len() && j < k + 40 {
-                if toks[j].is_punct('{') || toks[j].is_punct(';') {
-                    break;
-                }
-                if toks[j].is_ident("in") {
-                    found_in = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            let Some(in_idx) = found_in else { continue };
-            let mut last_ident: Option<&Tok> = None;
-            let mut j = in_idx + 1;
-            while j < toks.len() && !toks[j].is_punct('{') && !toks[j].is_punct(';') {
-                if toks[j].kind == TokKind::Ident {
-                    last_ident = Some(&toks[j]);
-                }
-                if toks[j].is_punct('(') {
-                    // Method call in the iterable — the `.method(`
-                    // pattern above owns that case.
-                    last_ident = None;
-                    break;
-                }
-                j += 1;
-            }
-            if let Some(id) = last_ident {
-                if hash_names.contains(id.text.as_str()) {
-                    out.insert((
-                        id.line,
-                        "R1",
-                        format!(
-                            "`for .. in {}` iterates a HashMap/HashSet — iteration order is \
-                             nondeterministic across processes; use BTreeMap/BTreeSet or sort \
-                             before use",
-                            id.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// R2: panics reachable from handler bodies.
-fn rule_r2(
-    toks: &[Tok],
-    is_attr: &[bool],
-    handlers: &[(usize, usize, String)],
-    out: &mut BTreeSet<(u32, &'static str, String)>,
-) {
-    for (start, end, fname) in handlers {
-        for k in *start..(*end).min(toks.len()) {
-            if is_attr[k] {
-                continue;
-            }
-            let t = &toks[k];
-            if t.kind == TokKind::Ident
-                && (t.text == "unwrap" || t.text == "expect")
-                && k > 0
-                && toks[k - 1].is_punct('.')
-                && k + 1 < toks.len()
-                && toks[k + 1].is_punct('(')
-            {
-                out.insert((
-                    t.line,
-                    "R2",
-                    format!(
-                        "`.{}()` in message handler `{}` — Byzantine input must degrade to a \
-                         dropped message, not a panic; return a typed error instead",
-                        t.text, fname
-                    ),
-                ));
-            }
-            if t.kind == TokKind::Ident
-                && PANIC_MACROS.contains(&t.text.as_str())
-                && k + 1 < toks.len()
-                && toks[k + 1].is_punct('!')
-            {
-                out.insert((
-                    t.line,
-                    "R2",
-                    format!(
-                        "`{}!` in message handler `{}` — Byzantine input must degrade to a \
-                         dropped message, not a panic",
-                        t.text, fname
-                    ),
-                ));
-            }
-            // Indexing / slicing: `expr[`, where expr ends in an
-            // identifier, `)`, or `]`. `#[attr]` and `m![..]` are
-            // excluded because their previous token is `#`/`!`.
-            if t.is_punct('[')
-                && k > 0
-                && (toks[k - 1].kind == TokKind::Ident
-                    || toks[k - 1].is_punct(')')
-                    || toks[k - 1].is_punct(']'))
-            {
-                out.insert((
-                    t.line,
-                    "R2",
-                    format!(
-                        "indexing/slicing in message handler `{}` can panic on out-of-range \
-                         input; use `.get()` and drop the message on None",
-                        fname
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// R3: ambient wall-clock / randomness in sans-IO code.
-fn rule_r3(toks: &[Tok], is_test: &[bool], out: &mut BTreeSet<(u32, &'static str, String)>) {
-    for k in 0..toks.len() {
-        if is_test[k] || toks[k].kind != TokKind::Ident {
-            continue;
-        }
-        let t = &toks[k];
-        let path_now = |base: &str| -> bool {
-            t.text == base
-                && k + 3 < toks.len()
-                && toks[k + 1].is_punct(':')
-                && toks[k + 2].is_punct(':')
-                && toks[k + 3].is_ident("now")
-        };
-        let msg = if t.text == "SystemTime" {
-            Some("`SystemTime` in sans-IO code — wall-clock time must flow through `Context`")
-        } else if path_now("Instant") {
-            Some("`Instant::now()` in sans-IO code — time must flow through `Context`")
-        } else if path_now("Utc") || path_now("Local") {
-            Some("wall-clock `now()` in sans-IO code — time must flow through `Context`")
-        } else if t.text == "thread_rng" || t.text == "from_entropy" {
-            Some(
-                "ambient randomness in sans-IO code — replicas must be deterministic; inject \
-                 seeds through `Context`",
-            )
-        } else if t.text == "random"
-            && k >= 2
-            && toks[k - 1].is_punct(':')
-            && toks[k - 2].is_punct(':')
-            && k >= 3
-            && toks[k - 3].is_ident("rand")
-        {
-            Some(
-                "`rand::random()` in sans-IO code — replicas must be deterministic; inject seeds \
-                 through `Context`",
-            )
-        } else {
-            None
-        };
-        if let Some(m) = msg {
-            out.insert((t.line, "R3", m.to_string()));
-        }
-    }
-}
-
-/// R5: growth of attacker-keyed maps inside handlers and storage
-/// routines; `noun` names the region kind in the finding message.
-fn rule_r5(
-    toks: &[Tok],
-    is_attr: &[bool],
-    regions: &[(usize, usize, String)],
-    fields: &[MapField],
-    noun: &str,
-    out: &mut BTreeSet<(u32, &'static str, String)>,
-) {
-    for (start, end, fname) in regions {
-        for k in *start..(*end).min(toks.len()) {
-            if is_attr[k] {
-                continue;
-            }
-            let t = &toks[k];
-            if t.kind != TokKind::Ident
-                || k + 3 >= toks.len()
-                || !toks[k + 1].is_punct('.')
-                || toks[k + 2].kind != TokKind::Ident
-                || !GROW_METHODS.contains(&toks[k + 2].text.as_str())
-                || !toks[k + 3].is_punct('(')
-            {
-                continue;
-            }
-            let Some(f) = fields.iter().find(|f| f.name == t.text) else {
-                continue;
-            };
-            if f.key_ty.is_empty() {
-                continue;
-            }
-            let bounded = BOUNDED_KEYS
-                .iter()
-                .any(|b| f.key_ty.split(' ').any(|p| p == *b));
-            if bounded {
-                continue;
-            }
-            let unbounded = UNBOUNDED_KEYS
-                .iter()
-                .any(|u| f.key_ty.split(' ').any(|p| p == *u));
-            if !unbounded {
-                continue;
-            }
-            // Anchored at the field token (see R1).
-            out.insert((
-                t.line,
-                "R5",
-                format!(
-                    "`{}.{}()` in {noun} `{}` grows a map keyed by attacker-influenced \
-                     `{}` without a bound; cap, window, or evict",
-                    t.text,
-                    toks[k + 2].text,
-                    fname,
-                    f.key_ty
-                ),
-            ));
-        }
-    }
-}
-
-/// R9: metric-registry calls must name their series with a string
-/// literal. A computed name (`&format!("x.{peer}")`, a variable, a
-/// function call) mints a fresh time series per distinct value —
-/// unbounded scrape cardinality — and defeats static grep-ability of
-/// the metric namespace.
-fn rule_r9(
-    toks: &[Tok],
-    is_test: &[bool],
-    is_attr: &[bool],
-    out: &mut BTreeSet<(u32, &'static str, String)>,
-) {
-    for k in 0..toks.len() {
-        if is_test[k] || is_attr[k] {
-            continue;
-        }
-        // `.method(` with a metric-registry method name.
-        if !(toks[k].is_punct('.')
-            && k + 2 < toks.len()
-            && toks[k + 1].kind == TokKind::Ident
-            && METRIC_METHODS.contains(&toks[k + 1].text.as_str())
-            && toks[k + 2].is_punct('('))
-        {
-            continue;
-        }
-        let method = toks[k + 1].text.as_str();
-        // Walk the argument list: first top-level token and top-level
-        // comma count (arity).
-        let mut depth = 0i64;
-        let mut commas = 0usize;
-        let mut first: Option<&Tok> = None;
-        let mut j = k + 2;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if depth == 1 {
-                if t.is_punct(',') {
-                    commas += 1;
-                } else if first.is_none() {
-                    first = Some(t);
-                }
-            }
-            j += 1;
-        }
-        let Some(first) = first else {
-            continue; // no arguments — not a registry call
-        };
-        let arity = commas + 1;
-        let registry_shape = match method {
-            "incr" => arity == 1,
-            _ => arity >= 2,
-        };
-        if !registry_shape {
-            continue;
-        }
-        if first.kind == TokKind::Literal && first.text.starts_with('"') {
-            continue;
-        }
-        out.insert((
-            toks[k + 1].line,
-            "R9",
-            format!(
-                "`.{method}(..)` with a computed metric name — dynamic names mint unbounded \
-                 time series; use a static string literal (put variance in a bounded label)"
-            ),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint(src: &str) -> Vec<Finding> {
         analyze("test.rs", src)
-    }
-
-    #[test]
-    fn r1_flags_hashmap_iteration() {
-        let src = "struct S { m: HashMap<u64, u32> }\n\
-                   impl S { fn go(&self) { for (k, v) in &self.m {} let _ = self.m.values(); } }";
-        let f = lint(src);
-        assert_eq!(f.iter().filter(|f| f.rule == "R1").count(), 2);
-    }
-
-    #[test]
-    fn r1_ignores_btreemap() {
-        let src = "struct S { m: BTreeMap<u64, u32> }\n\
-                   impl S { fn go(&self) { for (k, v) in &self.m {} } }";
-        assert!(lint(src).iter().all(|f| f.rule != "R1"));
     }
 
     #[test]
@@ -982,17 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn r3_wall_clock() {
-        let src = "fn f() { let t = std::time::Instant::now(); let s = SystemTime::now(); }";
-        let f = lint(src);
-        assert_eq!(f.iter().filter(|f| f.rule == "R3").count(), 2);
-    }
-
-    #[test]
-    fn r4_float_fields() {
-        let src = "struct State { score: f64, n: u32 }";
-        let f = lint(src);
-        assert_eq!(f.iter().filter(|f| f.rule == "R4").count(), 1);
+    fn r2_unwrap_on_a_non_ident_receiver_is_still_a_method_call() {
+        let src = "fn on_msg(a: Option<u32>) { (a).unwrap(); a?.expect(\"x\"); }";
+        assert_eq!(lint(src).iter().filter(|f| f.rule == "R2").count(), 2);
     }
 
     #[test]
@@ -1019,6 +123,22 @@ mod tests {
         assert_eq!(r5.len(), 1);
         assert!(r5[0].message.contains("replay_suffix"));
         assert!(r5[0].message.contains("storage routine"));
+    }
+
+    #[test]
+    fn r5_anchors_at_the_field_line_of_a_multi_line_chain() {
+        let src = "struct S { table: HashMap<ClientId, u64> }\n\
+                   impl S { fn on_req(&mut self, c: ClientId) {\n\
+                   self.verify_auth(c)?;\n\
+                   // neo-lint: allow(R5, one entry per client)\n\
+                   self.table\n\
+                   .insert(c, 0);\n\
+                   self.table\n\
+                   .insert(c, 1);\n\
+                   } }";
+        let f = lint(src);
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!((f[0].rule, f[0].line), ("R5", 7));
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Default for BatchPolicy {
 const ADJUST_INTERVAL_NS: u64 = 200_000;
 
 /// Load-adaptive batch-size controller (integer arithmetic throughout —
-/// the protocol crates ban floating-point state, neo-lint R4).
+/// the protocol crates ban floating-point state: R4, `clippy.toml`).
 #[derive(Clone, Debug)]
 pub struct AdaptiveBatcher {
     policy: BatchPolicy,

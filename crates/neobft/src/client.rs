@@ -84,7 +84,7 @@ struct Inflight {
     retries: u32,
     /// Replies keyed by replica; the quorum check groups matching ones.
     /// BTreeMap so the quorum grouping below iterates deterministically
-    /// (neo-lint R1).
+    /// (R1, `clippy.toml`).
     replies: BTreeMap<ReplicaId, Reply>,
     retry_timer: TimerId,
 }
@@ -208,11 +208,6 @@ impl ClientDriver {
             .binary_search_by_key(&handle.0, |c| c.request_id)
             .ok()
             .and_then(|i| self.completed.get(i))
-    }
-
-    /// True once the op behind `handle` has committed.
-    pub fn is_complete(&self, handle: OpHandle) -> bool {
-        self.result_of(handle).is_some()
     }
 
     /// Pull ops from the workload to fill the window, then flush a batch

@@ -125,7 +125,7 @@ struct GapState {
     recv: Option<OrderingCert>,
     /// Leader: gap-drop votes. BTreeMap: vote sets end up inside signed
     /// decisions and certificates, so their order is wire-visible and
-    /// must not depend on hash seeds (neo-lint R1).
+    /// must not depend on hash seeds (R1, `clippy.toml`).
     drops: BTreeMap<ReplicaId, (GapDropBody, Signature)>,
     /// Leader: decision already broadcast.
     decision_sent: bool,
@@ -170,7 +170,7 @@ struct ClientEntry {
 struct ViewChangeState {
     /// Valid view-change messages per proposed view. Both levels are
     /// BTreeMaps: the quorum selected in `maybe_start_view` goes on the
-    /// wire, so the pick must be order-stable (neo-lint R1).
+    /// wire, so the pick must be order-stable (R1, `clippy.toml`).
     msgs: BTreeMap<ViewId, BTreeMap<ReplicaId, (ViewChangeBody, Signature)>>,
     /// My own view-change message for the view I am proposing.
     own: Option<(ViewChangeBody, Signature)>,
@@ -299,7 +299,7 @@ impl Replica {
         app: Box<dyn App>,
     ) -> Self {
         let crypto = NodeCrypto::new(Principal::Replica(id), keys, costs);
-        let mut aom = AomReceiver::new(
+        let aom = AomReceiver::new(
             cfg.group,
             id,
             id.index(),
@@ -308,9 +308,6 @@ impl Replica {
             cfg.trust,
             keys,
         );
-        // Pipelined speculation: verify slot k+1's authenticator on the
-        // parallel lane while slot k executes (enabled with batching).
-        aom.set_pipelined(cfg.pipeline_verify);
         // Lane selection: a per-replica pool in the real runtime
         // (verify_workers > 0), the meter's parallel lane in the sim.
         let lane = if cfg.verify_workers > 0 {
@@ -3000,6 +2997,26 @@ impl Node for Replica {
 
     fn verify_pool(&self) -> Option<Arc<VerifyPool>> {
         self.lane.pool().cloned()
+    }
+
+    fn health(&self) -> Option<neo_sim::NodeHealth> {
+        let phase = self.recovery_phase().map(|p| match p {
+            RecoveryPhase::Recovering => "recovering",
+            RecoveryPhase::FetchingCheckpoint => "fetching_checkpoint",
+            RecoveryPhase::Replaying => "replaying",
+            RecoveryPhase::Active => "active",
+        });
+        Some(neo_sim::NodeHealth {
+            role: "replica".into(),
+            epoch: self.aom.epoch().0,
+            view: self.view().leader_num,
+            recovery_phase: phase.map(str::to_string),
+            recovery_base: self.recovery_base().map(|s| s.0),
+            last_exec: self.exec_cursor().0,
+            log_len: self.log_len().0,
+            sync_point: self.sync_point().0,
+            stable_checkpoint: self.stable_checkpoint_slot().map(|s| s.0),
+        })
     }
 
     fn as_any(&self) -> &dyn Any {

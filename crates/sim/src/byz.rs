@@ -205,6 +205,10 @@ impl Node for ByzantineNode {
         self.inner.meter()
     }
 
+    fn health(&self) -> Option<crate::obs::NodeHealth> {
+        self.inner.health()
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }

@@ -187,12 +187,6 @@ impl Simulator {
         &mut self.cfg.faults
     }
 
-    /// Mutable access to the network config (Figure 9 adjusts drop rates
-    /// between runs; failover experiments adjust latency).
-    pub fn net_mut(&mut self) -> &mut NetConfig {
-        &mut self.cfg.net
-    }
-
     /// Immutable view of a node's concrete state.
     pub fn node_ref<T: 'static>(&self, addr: Addr) -> Option<&T> {
         self.nodes
@@ -347,12 +341,6 @@ impl Simulator {
         }
         self.now = self.now.max(deadline);
         n
-    }
-
-    /// Run for a span of virtual time from now.
-    pub fn run_for(&mut self, span: Duration) -> u64 {
-        let deadline = self.now + span;
-        self.run_until(deadline)
     }
 
     /// Process a single event. Returns false when the queue is empty.

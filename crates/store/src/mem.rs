@@ -28,16 +28,6 @@ impl MemDisk {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Durable WAL records currently on the disk (tests).
-    pub fn wal_len(&self) -> usize {
-        self.inner.lock().wal.len()
-    }
-
-    /// Whether a checkpoint blob is present (tests).
-    pub fn has_checkpoint(&self) -> bool {
-        self.inner.lock().checkpoint.is_some()
-    }
 }
 
 /// One node's handle on a [`MemDisk`], with a volatile append buffer.

@@ -361,15 +361,6 @@ impl NodeHandle {
     pub fn obs_source(&self) -> (Addr, Arc<Metrics>) {
         (self.addr, self.metrics.clone())
     }
-
-    /// The node loop's latest self-published health document (refreshed
-    /// on a coarse cadence while the node runs).
-    pub fn health_report(&self) -> HealthReport {
-        match self.health.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        }
-    }
 }
 
 /// A [`TelemetryProvider`] over spawned node handles: `/metrics` scrapes
