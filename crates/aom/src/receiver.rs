@@ -681,8 +681,12 @@ impl AomReceiver {
     }
 
     /// Admission half of confirm ingestion: group, epoch, staleness and
-    /// window checks plus body encoding. `Ok(None)` means the confirm is
-    /// irrelevant (trusted-network mode ignores strays).
+    /// window checks, then "can this confirm still matter?", then body
+    /// encoding. `Ok(None)` means the confirm is irrelevant: trusted-
+    /// network mode ignores strays, and in Byzantine mode a confirm whose
+    /// sender is already held for this sequence number, or whose hash
+    /// already has its 2f+1, cannot change what gets delivered — it is
+    /// dropped before a signature is spent on it.
     pub fn submit_confirm(&mut self, sc: SignedConfirm) -> Result<Option<ConfirmJob>, AomError> {
         if self.trust != NetworkTrust::Byzantine {
             return Ok(None);
@@ -703,6 +707,12 @@ impl AomReceiver {
         if sc.body.seq.0 > self.next.0 + Self::SEQ_WINDOW {
             self.window_rejected += 1;
             return Err(AomError::OutOfWindow);
+        }
+        if let Some(held) = self.confirms.get(&sc.body.seq) {
+            let same_hash = held.values().filter(|c| c.body.hash == sc.body.hash);
+            if held.contains_key(&sc.body.replica) || same_hash.count() > 2 * self.f {
+                return Ok(None);
+            }
         }
         let Ok(bytes) = encode(&sc.body) else {
             self.internal_errors += 1;
@@ -747,7 +757,9 @@ impl AomReceiver {
         }
         // neo-lint: allow(R5, seq bounded to SEQ_WINDOW at submit)
         let slot_confirms = self.confirms.entry(seq).or_default();
-        slot_confirms.insert(job.sc.body.replica, job.sc);
+        // First valid confirm per sender wins, as at submit (two from
+        // one sender can both be in flight on the pool lane).
+        slot_confirms.entry(job.sc.body.replica).or_insert(job.sc);
         self.try_complete(seq);
         Ok(())
     }

@@ -387,6 +387,66 @@ fn forged_confirms_do_not_count_toward_quorum() {
 }
 
 #[test]
+fn confirms_that_cannot_matter_are_refused_before_verification() {
+    let mut seq = sequencer(AuthMode::HmacVector);
+    let ctx = stamp_many(&mut seq, &[b"a", b"b"]);
+    let cryptos: Vec<NodeCrypto> = (0..N as u32).map(crypto_for).collect();
+    let mut rcvs: Vec<AomReceiver> = (0..N as u32)
+        .map(|r| receiver(r, ReceiverAuth::Hmac, NetworkTrust::Byzantine))
+        .collect();
+    // Receivers 1..3 see both packets; receiver 0 misses the first, so
+    // its delivery of the second waits however many confirms arrive.
+    let mut confirms = vec![];
+    for r in 1..N {
+        for pkt in ctx.packets_for(r as u32) {
+            rcvs[r].on_packet(pkt, &cryptos[r]).unwrap();
+        }
+        confirms.extend(rcvs[r].take_outgoing_confirms());
+    }
+    let for_seq = |s: u64| confirms.iter().filter(move |c| c.body.seq == SeqNum(s));
+    let metered = NodeCrypto::new(
+        Principal::Replica(ReplicaId(0)),
+        &keys(),
+        CostModel::CALIBRATED,
+    );
+    let verifies = |c: &NodeCrypto| c.meter().drain().1.len();
+    rcvs[0]
+        .on_packet(ctx.packets_for(0)[1].clone(), &metered)
+        .unwrap();
+    verifies(&metered); // discard the confirm's signing charge
+    let second: Vec<_> = for_seq(2).cloned().collect();
+    // Own confirm + two peers = 2f+1 held; each peer is verified once.
+    for sc in &second[..2] {
+        rcvs[0].on_confirm(sc.clone(), &metered).unwrap();
+        rcvs[0].on_confirm(sc.clone(), &metered).unwrap(); // repeat
+    }
+    assert_eq!(verifies(&metered), 2, "a held sender is not verified again");
+    // The quorum is complete (delivery waits on seq 1, not on confirms):
+    // the third peer's confirm is refused without a signature check.
+    rcvs[0].on_confirm(second[2].clone(), &metered).unwrap();
+    assert_eq!(verifies(&metered), 0);
+    assert!(deliveries(&mut rcvs[0]).is_empty());
+    // Once the gap fills, both deliver, each with exactly its quorum.
+    rcvs[0]
+        .on_packet(ctx.packets_for(0)[0].clone(), &metered)
+        .unwrap();
+    for sc in for_seq(1) {
+        let _ = rcvs[0].on_confirm(sc.clone(), &metered); // the last is stale
+    }
+    let ds = deliveries(&mut rcvs[0]);
+    assert_eq!(ds.len(), 2);
+    for d in &ds {
+        match d {
+            Delivery::Message(cert) => {
+                assert_eq!(cert.confirms.len(), 2 * F + 1);
+                assert!(rcvs[3].verify_cert(cert, &cryptos[3]));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn install_epoch_resets_receiver_state() {
     let mut seq = sequencer(AuthMode::HmacVector);
     let ctx = stamp_many(&mut seq, &[b"a", b"b"]);
@@ -605,7 +665,10 @@ fn fast_forward_skips_recovered_prefix() {
     rcv.fast_forward(SeqNum(3));
     assert_eq!(rcv.next_seq(), SeqNum(3));
     let pkts = ctx.packets_for(1);
-    assert_eq!(rcv.on_packet(pkts[0].clone(), &crypto), Err(AomError::Stale));
+    assert_eq!(
+        rcv.on_packet(pkts[0].clone(), &crypto),
+        Err(AomError::Stale)
+    );
     rcv.on_packet(pkts[2].clone(), &crypto).unwrap();
     let ds = deliveries(&mut rcv);
     assert_eq!(ds.len(), 1);

@@ -1,9 +1,10 @@
 //! Harness smoke tests: every protocol commits operations under the
 //! calibrated cost model, and headline orderings from the paper hold.
 
-use neo_bench::harness::{run_experiment, Protocol, RunParams};
-use neo_core::BatchPolicy;
+use neo_bench::harness::{build, run_experiment, Protocol, RunParams};
+use neo_core::{BatchPolicy, Replica};
 use neo_sim::MILLIS;
+use neo_wire::{Addr, ReplicaId};
 
 /// Paper-testbed defaults with tiny windows.
 fn smoke(protocol: Protocol, n_clients: usize) -> RunParams {
@@ -113,6 +114,38 @@ fn clean_run_reports_per_phase_latency_tables() {
     let untraced = run_experiment(&p);
     assert!(untraced.trace.is_none());
     assert_eq!(untraced.committed, r.committed, "tracing never perturbs");
+}
+
+#[test]
+fn sync_rounds_verify_at_most_2f_votes_per_replica_at_n16() {
+    // All-to-all sync voting delivers n - 1 = 15 signed votes per round
+    // to every replica, but the round settles at 2f = 10 (§B.2): the
+    // votes behind the quorum must not cost an Ed25519 check (DESIGN.md
+    // §16). On a clean trusted-network run the sync round is a
+    // replica's only signature traffic — one vote signed, votes verified
+    // — so its parallel-lane CPU time bounds the verify count exactly.
+    let mut p = smoke(Protocol::NeoHm, 8);
+    p.f = 5;
+    (p.warmup, p.measure) = (5 * MILLIS, 5 * MILLIS); // a dozen sync rounds
+    let mut sim = build(&p);
+    sim.run_until(p.warmup + p.measure);
+    let per_round = p.costs.ed25519_sign + 2 * p.f as u64 * p.costs.ed25519_verify;
+    for r in 0..p.n_replicas() as u32 {
+        let addr = Addr::Replica(ReplicaId(r));
+        let rounds = sim
+            .node_ref::<Replica>(addr)
+            .expect("replica present")
+            .stats
+            .sync_points;
+        assert!(rounds >= 4, "replica {r} settled only {rounds} sync rounds");
+        let (_, parallel_ns) = sim.cpu_busy(addr).expect("replica has a CPU model");
+        // + 1: a round may be under way when the run ends.
+        assert!(
+            parallel_ns <= (rounds + 1) * per_round,
+            "replica {r}: {parallel_ns} ns of signature work over {rounds} sync rounds \
+             exceeds 2f verifies + 1 sign per round ({per_round} ns)"
+        );
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@ use neo_wire::{ClientId, EpochNum, GroupId, ReplicaId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// A signing identity in the system.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, PartialOrd, Ord)]
@@ -48,6 +49,10 @@ pub struct SystemKeys {
     root: [u8; 32],
     n_replicas: usize,
     n_clients: usize,
+    /// The public-key directory, derived on first use and shared by every
+    /// clone: a deployment of N nodes derives its N key pairs once, not
+    /// once per node.
+    directory: Arc<OnceLock<KeyStore>>,
 }
 
 impl SystemKeys {
@@ -59,6 +64,27 @@ impl SystemKeys {
             root,
             n_replicas,
             n_clients,
+            directory: Arc::new(OnceLock::new()),
+        }
+    }
+
+    /// Every principal of the deployment: replicas in id order, then
+    /// clients in id order.
+    pub fn principals(&self) -> impl Iterator<Item = Principal> {
+        let replicas = (0..self.n_replicas).map(|r| Principal::Replica(ReplicaId(r as u32)));
+        let clients = (0..self.n_clients).map(|c| Principal::Client(ClientId(c as u64)));
+        replicas.chain(clients)
+    }
+
+    /// Position of `p` in [`SystemKeys::principals`]; `None` for a
+    /// principal outside the deployment.
+    pub fn index_of(&self, p: Principal) -> Option<usize> {
+        match p {
+            Principal::Replica(r) => Some(r.0 as usize).filter(|i| *i < self.n_replicas),
+            Principal::Client(c) => usize::try_from(c.0)
+                .ok()
+                .filter(|i| *i < self.n_clients)
+                .map(|i| self.n_replicas + i),
         }
     }
 
@@ -123,19 +149,16 @@ impl SystemKeys {
         HmacKey(k)
     }
 
-    /// Build the verification-key view a node needs: every principal's
-    /// Ed25519 verify key.
-    pub fn key_store(&self) -> KeyStore {
-        let mut verify = HashMap::new();
-        for r in 0..self.n_replicas {
-            let p = Principal::Replica(ReplicaId(r as u32));
-            verify.insert(p, self.sign_key(p).verify_key());
-        }
-        for c in 0..self.n_clients {
-            let p = Principal::Client(ClientId(c as u64));
-            verify.insert(p, self.sign_key(p).verify_key());
-        }
-        KeyStore { verify }
+    /// The verification-key view a node needs: every principal's Ed25519
+    /// verify key. Built by the first caller, shared with every clone of
+    /// this `SystemKeys`.
+    pub fn key_store(&self) -> &KeyStore {
+        self.directory.get_or_init(|| KeyStore {
+            verify: self
+                .principals()
+                .map(|p| (p, self.sign_key(p).verify_key()))
+                .collect(),
+        })
     }
 }
 

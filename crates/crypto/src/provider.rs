@@ -7,31 +7,52 @@
 //! simulation time.
 
 use crate::digest::{chain, sha256, Digest};
-use crate::keys::{KeyStore, Principal, SystemKeys};
+use crate::keys::{Principal, SystemKeys};
 use crate::mac::{HmacKey, MacError};
 use crate::meter::{CostModel, Meter};
 use crate::sign::{SigError, SignKeyPair, Signature};
 use neo_wire::HmacTag;
+use std::sync::Arc;
 
 /// A node's metered view of the system's cryptography.
+///
+/// Cloning is a few refcount bumps: the key material sits behind one
+/// `Arc` and clones share the meter, so a verify task shipped to a worker
+/// thread charges the owning node exactly as an inline call would.
 #[derive(Clone, Debug)]
 pub struct NodeCrypto {
-    me: Principal,
-    sign_key: SignKeyPair,
-    store: KeyStore,
-    system: SystemKeys,
+    keys: Arc<NodeKeys>,
     costs: CostModel,
     meter: Meter,
+}
+
+/// The immutable key view of one node.
+#[derive(Debug)]
+struct NodeKeys {
+    me: Principal,
+    sign_key: SignKeyPair,
+    /// Holds the deployment's shared public-key directory.
+    system: SystemKeys,
+    /// This node's pairwise MAC key with every principal of the
+    /// deployment, in [`SystemKeys::principals`] order: the KDF runs once
+    /// per peer here, not once per tag.
+    pairwise: Vec<HmacKey>,
 }
 
 impl NodeCrypto {
     /// Build the crypto view for `me` out of the deployment key material.
     pub fn new(me: Principal, system: &SystemKeys, costs: CostModel) -> Self {
+        system.key_store(); // derive the shared directory now, at set-up
         NodeCrypto {
-            me,
-            sign_key: system.sign_key(me),
-            store: system.key_store(),
-            system: system.clone(),
+            keys: Arc::new(NodeKeys {
+                me,
+                sign_key: system.sign_key(me),
+                system: system.clone(),
+                pairwise: system
+                    .principals()
+                    .map(|peer| system.pairwise_hmac_key(me, peer))
+                    .collect(),
+            }),
             costs,
             meter: Meter::new(),
         }
@@ -39,7 +60,7 @@ impl NodeCrypto {
 
     /// The principal this provider signs as.
     pub fn me(&self) -> Principal {
-        self.me
+        self.keys.me
     }
 
     /// The meter the simulator drains.
@@ -63,14 +84,14 @@ impl NodeCrypto {
     /// Ed25519-sign a message (charged to the worker pool).
     pub fn sign(&self, msg: &[u8]) -> Signature {
         self.meter.charge_parallel(self.costs.ed25519_sign);
-        self.sign_key.sign(msg)
+        self.keys.sign_key.sign(msg)
     }
 
     /// Verify `signer`'s Ed25519 signature (charged to the worker pool).
     /// Unknown principals fail closed.
     pub fn verify(&self, signer: Principal, msg: &[u8], sig: &Signature) -> Result<(), SigError> {
         self.meter.charge_parallel(self.costs.ed25519_verify);
-        match self.store.verify_key(signer) {
+        match self.keys.system.key_store().verify_key(signer) {
             Some(vk) => vk.verify(msg, sig),
             None => Err(SigError::Invalid),
         }
@@ -90,7 +111,7 @@ impl NodeCrypto {
         let mut out = Vec::with_capacity(items.len());
         for (signer, msg, sig) in items {
             self.meter.charge_parallel(self.costs.ed25519_verify);
-            out.push(match self.store.verify_key(*signer) {
+            out.push(match self.keys.system.key_store().verify_key(*signer) {
                 Some(vk) => vk.verify(msg, sig),
                 None => Err(SigError::Invalid),
             });
@@ -153,8 +174,18 @@ impl NodeCrypto {
         peers.iter().map(|p| self.pairwise(*p).tag(msg)).collect()
     }
 
+    /// The key shared with `peer`: cached for a principal of the
+    /// deployment, derived on the spot for any other.
     fn pairwise(&self, peer: Principal) -> HmacKey {
-        self.system.pairwise_hmac_key(self.me, peer)
+        let keys = &self.keys;
+        let cached = keys
+            .system
+            .index_of(peer)
+            .and_then(|i| keys.pairwise.get(i));
+        match cached {
+            Some(key) => *key,
+            None => keys.system.pairwise_hmac_key(keys.me, peer),
+        }
     }
 }
 
@@ -190,6 +221,52 @@ mod tests {
             a.verify(Principal::Replica(ReplicaId(99)), b"m", &sig),
             Err(SigError::Invalid)
         );
+    }
+
+    #[test]
+    fn clones_and_nodes_share_one_key_directory() {
+        let sys = SystemKeys::new(11, 4, 2);
+        let (a, b) = (
+            NodeCrypto::new(Principal::Replica(ReplicaId(0)), &sys, CostModel::FREE),
+            NodeCrypto::new(Principal::Client(ClientId(1)), &sys, CostModel::FREE),
+        );
+        let directory = sys.key_store() as *const _;
+        assert_eq!(a.keys.system.key_store() as *const _, directory);
+        assert_eq!(b.keys.system.key_store() as *const _, directory);
+        let c = a.clone();
+        assert!(Arc::ptr_eq(&a.keys, &c.keys), "clone is a refcount bump");
+        c.meter().charge_serial(3);
+        assert_eq!(a.meter().peek(), (3, 0), "clones charge one meter");
+    }
+
+    #[test]
+    fn cached_pairwise_keys_match_the_kdf_in_both_directions() {
+        let sys = SystemKeys::new(5, 4, 3);
+        let nodes: Vec<NodeCrypto> = sys
+            .principals()
+            .map(|p| NodeCrypto::new(p, &sys, CostModel::FREE))
+            .collect();
+        for a in &nodes {
+            for b in &nodes {
+                let derived = sys.pairwise_hmac_key(a.me(), b.me());
+                assert_eq!(a.pairwise(b.me()), derived);
+                assert_eq!(b.pairwise(a.me()), derived);
+            }
+        }
+    }
+
+    #[test]
+    fn a_principal_outside_the_deployment_gets_the_derived_key() {
+        let sys = SystemKeys::new(11, 4, 2);
+        let (a, _) = setup();
+        for stranger in [
+            Principal::Replica(ReplicaId(4)),
+            Principal::Client(ClientId(u64::MAX)),
+        ] {
+            let key = sys.pairwise_hmac_key(a.me(), stranger);
+            assert_eq!(a.pairwise(stranger), key, "not cached, same key");
+            assert_eq!(a.mac_for(stranger, b"m"), key.tag(b"m"));
+        }
     }
 
     #[test]

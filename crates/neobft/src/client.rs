@@ -82,11 +82,36 @@ struct Inflight {
     first_request_id: RequestId,
     ops: Vec<(RequestId, Vec<u8>, u64)>,
     retries: u32,
-    /// Replies keyed by replica; the quorum check groups matching ones.
-    /// BTreeMap so the quorum grouping below iterates deterministically
-    /// (R1, `clippy.toml`).
+    /// Each replica's latest reply (a replica that re-executes after a
+    /// rollback replies again). BTreeMap so the count below iterates
+    /// deterministically (R1, `clippy.toml`).
     replies: BTreeMap<ReplicaId, Reply>,
     retry_timer: TimerId,
+}
+
+impl Inflight {
+    /// Take `reply` as its sender's latest answer. Returns the per-op
+    /// results once `quorum` replicas' latest answers match it on (view,
+    /// slot, log_hash, results) — counted in place, nothing is cloned.
+    fn count_reply(&mut self, reply: Reply, quorum: usize) -> Option<Vec<Vec<u8>>> {
+        let same = |r: &Reply| {
+            r.view == reply.view
+                && r.slot == reply.slot
+                && r.log_hash == reply.log_hash
+                && r.results == reply.results
+        };
+        // The sender's earlier answer, if any, is replaced, not counted.
+        let others = self
+            .replies
+            .values()
+            .filter(|r| r.replica != reply.replica && same(r))
+            .count();
+        if others + 1 >= quorum {
+            return Some(reply.results);
+        }
+        self.replies.insert(reply.replica, reply);
+        None
+    }
 }
 
 /// The windowed, batching NeoBFT client node.
@@ -381,55 +406,41 @@ impl ClientDriver {
         {
             return;
         }
-        infl.replies.insert(reply.replica, reply);
         // Quorum: 2f+1 replies matching on (view, slot, log_hash, results).
-        let quorum = self.cfg.quorum();
-        let mut groups: BTreeMap<(u64, u64, u64, neo_crypto::Digest, Vec<Vec<u8>>), usize> =
-            BTreeMap::new();
-        for r in infl.replies.values() {
-            let key = (
-                r.view.epoch.0,
-                r.view.leader_num,
-                r.slot.0,
-                r.log_hash,
-                r.results.clone(),
-            );
-            // neo-lint: allow(R5, at most n per-replica replies feed this map)
-            *groups.entry(key).or_default() += 1;
+        let Some(results) = infl.count_reply(reply, self.cfg.quorum()) else {
+            return;
+        };
+        let Some(infl) = self.inflight.take() else {
+            return;
+        };
+        ctx.cancel_timer(infl.retry_timer);
+        let completed_at = ctx.now();
+        // Span end: the 2f+1 matching-reply quorum completed.
+        ctx.emit(Event::ClientCommit {
+            client: self.id.0,
+            request: infl.first_request_id.0,
+        });
+        {
+            let m = ctx.metrics();
+            for (_, _, queued_at) in &infl.ops {
+                m.observe("client.latency_ns", completed_at.saturating_sub(*queued_at));
+                m.incr("client.ops_completed");
+            }
+            if infl.retries > 0 {
+                m.add("client.retries", infl.retries as u64);
+            }
         }
-        if let Some((key, _)) = groups.into_iter().find(|(_, c)| *c >= quorum) {
-            let Some(infl) = self.inflight.take() else {
-                return;
-            };
-            ctx.cancel_timer(infl.retry_timer);
-            let completed_at = ctx.now();
-            // Span end: the 2f+1 matching-reply quorum completed.
-            ctx.emit(Event::ClientCommit {
-                client: self.id.0,
-                request: infl.first_request_id.0,
+        // Fan the per-op results back out, in request-id order.
+        for ((request_id, _, queued_at), result) in infl.ops.into_iter().zip(results) {
+            self.completed.push(CompletedOp {
+                request_id,
+                issued_at: queued_at,
+                completed_at,
+                result,
+                retries: infl.retries,
             });
-            {
-                let m = ctx.metrics();
-                for (_, _, queued_at) in &infl.ops {
-                    m.observe("client.latency_ns", completed_at.saturating_sub(*queued_at));
-                    m.incr("client.ops_completed");
-                }
-                if infl.retries > 0 {
-                    m.add("client.retries", infl.retries as u64);
-                }
-            }
-            // Fan the per-op results back out, in request-id order.
-            for ((request_id, _, queued_at), result) in infl.ops.into_iter().zip(key.4) {
-                self.completed.push(CompletedOp {
-                    request_id,
-                    issued_at: queued_at,
-                    completed_at,
-                    result,
-                    retries: infl.retries,
-                });
-            }
-            self.pump(ctx);
         }
+        self.pump(ctx);
     }
 }
 
@@ -489,5 +500,63 @@ impl Node for ClientDriver {
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use neo_wire::{SlotNum, ViewId};
+
+    fn inflight() -> Inflight {
+        Inflight {
+            first_request_id: RequestId(1),
+            ops: Vec::new(),
+            retries: 0,
+            replies: BTreeMap::new(),
+            retry_timer: TimerId(0),
+        }
+    }
+
+    fn reply(replica: u32, slot: u64, result: &[u8]) -> Reply {
+        Reply {
+            view: ViewId::INITIAL,
+            replica: ReplicaId(replica),
+            slot: SlotNum(slot),
+            log_hash: neo_crypto::sha256(&slot.to_le_bytes()),
+            request_id: RequestId(1),
+            results: vec![result.to_vec()],
+        }
+    }
+
+    #[test]
+    fn quorum_of_matching_replies_commits_with_their_results() {
+        let mut infl = inflight();
+        assert_eq!(infl.count_reply(reply(0, 5, b"r"), 3), None);
+        assert_eq!(infl.count_reply(reply(1, 5, b"r"), 3), None);
+        assert_eq!(infl.count_reply(reply(1, 5, b"r"), 3), None, "a repeat");
+        assert_eq!(infl.count_reply(reply(2, 6, b"r"), 3), None, "other slot");
+        assert_eq!(infl.count_reply(reply(3, 5, b"x"), 3), None, "other result");
+        assert_eq!(
+            infl.count_reply(reply(4, 5, b"r"), 3),
+            Some(vec![b"r".to_vec()])
+        );
+    }
+
+    #[test]
+    fn a_replica_that_re_executes_moves_its_vote() {
+        let mut infl = inflight();
+        // Replicas 0 and 1 answer from slot 5, then roll back and answer
+        // again from slot 6, where replica 2 also executed the request.
+        for r in [0, 1] {
+            assert_eq!(infl.count_reply(reply(r, 5, b"r"), 3), None);
+        }
+        assert_eq!(infl.count_reply(reply(2, 6, b"r"), 3), None);
+        assert_eq!(infl.count_reply(reply(0, 6, b"r"), 3), None);
+        assert_eq!(
+            infl.count_reply(reply(1, 6, b"r"), 3),
+            Some(vec![b"r".to_vec()]),
+            "the latest answers agree; the superseded ones no longer count"
+        );
     }
 }

@@ -20,7 +20,6 @@ use neo_aom::{AomReceiver, ConfigMsg, Delivery, Envelope, OrderingCert, SignedCo
 use neo_app::App;
 use neo_crypto::{
     CostModel, Digest, NodeCrypto, Principal, ReorderBuffer, Signature, SystemKeys, VerifyPool,
-    VerifyTask,
 };
 use neo_sim::obs::Event;
 use neo_sim::{Context, Node, TimerId};
@@ -148,6 +147,24 @@ struct GapState {
     agreement_timer: Option<TimerId>,
     /// Resolved: slot filled and unblocked.
     resolved: bool,
+}
+
+impl GapState {
+    /// Whether one more prepare / commit could still change this round:
+    /// not when its sender's vote is already among `held`, when the
+    /// decision went the other way, or when `needed` votes for the same
+    /// outcome are held — such a vote is dropped before its signature is
+    /// looked at (DESIGN.md §16).
+    fn vote_can_count(
+        &self,
+        held: &BTreeMap<ReplicaId, (GapVoteBody, Signature)>,
+        vote: &GapVoteBody,
+        needed: usize,
+    ) -> bool {
+        !held.contains_key(&vote.replica)
+            && !matches!(&self.decision, Some((recv, ..)) if *recv != vote.recv)
+            && held.values().filter(|(b, _)| b.recv == vote.recv).count() < needed
+    }
 }
 
 /// Client-table entry for at-most-once semantics and reply caching.
@@ -576,6 +593,15 @@ impl Replica {
         self.stable_checkpoint.as_ref().map(|cp| cp.data.slot)
     }
 
+    /// Signed gap-agreement votes (drops, prepares, commits) currently
+    /// held: those of open rounds, plus those of rounds resolved since the
+    /// last sync point. For the tests of that bound.
+    #[doc(hidden)]
+    pub fn gap_votes_held(&self) -> usize {
+        let votes = |g: &GapState| g.drops.len() + g.prepares.len() + g.commits.len();
+        self.gaps.values().map(votes).sum()
+    }
+
     /// The aom receiver's counters (invariant checking and tests).
     pub fn aom_stats(&self) -> neo_aom::AomReceiverStats {
         self.aom.stats()
@@ -700,6 +726,48 @@ impl Replica {
         true
     }
 
+    /// A slot below the sync point that this log has resolved (or
+    /// compacted) is final: 2f+1 replicas hold the same entry, the undo
+    /// history behind it is gone, and no gap agreement may touch it again.
+    fn slot_is_final(&self, slot: SlotNum) -> bool {
+        slot < self.sync_point && slot < self.log.len() && !self.log.is_pending(slot)
+    }
+
+    /// Admission for a gap-agreement vote (gap-drop, prepare, commit):
+    /// the slot is in the window, and a final slot is served only through
+    /// a round this replica holds — a late or replayed vote never opens
+    /// one.
+    fn gap_vote_admissible(&self, slot: SlotNum, ctx: &mut dyn Context) -> bool {
+        (self.gaps.contains_key(&slot) || !self.slot_is_final(slot))
+            && self.slot_in_window(slot, ctx)
+    }
+
+    /// Whether `votes` holds 2f+1 distinct valid signers. Admission
+    /// before authentication, quorum-bounded (DESIGN.md §16): a repeated
+    /// signer is skipped unverified, and verification stops at the
+    /// quorum — signatures past it cannot change the verdict.
+    fn has_signed_quorum<'a, B>(
+        &self,
+        votes: impl Iterator<Item = (ReplicaId, &'a B, &'a Signature)>,
+    ) -> bool
+    where
+        B: serde::Serialize + serde::de::DeserializeOwned + 'a,
+    {
+        let quorum = self.cfg.quorum();
+        let mut seen = std::collections::BTreeSet::new();
+        for (replica, body, sig) in votes {
+            if seen.len() >= quorum {
+                break;
+            }
+            if !seen.contains(&replica)
+                && verify_body(body, sig, Principal::Replica(replica), &self.crypto)
+            {
+                seen.insert(replica);
+            }
+        }
+        seen.len() >= quorum
+    }
+
     // ------------------------------------------------------------------
     // Durability: WAL appends, checkpoint capture and certification
     // ------------------------------------------------------------------
@@ -774,16 +842,12 @@ impl Replica {
     /// Used identically for peer-served checkpoints and our own disk.
     fn verify_checkpoint(&self, wire: &WireCheckpoint) -> bool {
         let digest = wire.data.digest();
-        let mut seen = std::collections::BTreeSet::new();
-        for (body, sig) in &wire.cert {
-            if body.slot != wire.data.slot || body.state_digest != digest {
-                continue;
-            }
-            if verify_body(body, sig, Principal::Replica(body.replica), &self.crypto) {
-                seen.insert(body.replica);
-            }
-        }
-        seen.len() >= self.cfg.quorum()
+        self.has_signed_quorum(
+            wire.cert
+                .iter()
+                .filter(|(b, _)| b.slot == wire.data.slot && b.state_digest == digest)
+                .map(|(b, sig)| (b.replica, b, sig)),
+        )
     }
 
     /// Compact the durable WAL below a certified checkpoint: rewrite it
@@ -1087,7 +1151,7 @@ impl Replica {
     /// synchronously and complete it immediately; the pool lane submits
     /// and completions return through [`Node::on_async`]. Both flow
     /// through the same reorder buffer, so ordering is identical.
-    fn dispatch_verify(&mut self, work: VerifyWork, ctx: &mut dyn Context) {
+    fn dispatch_verify(&mut self, mut work: VerifyWork, ctx: &mut dyn Context) {
         {
             let m = ctx.metrics();
             if m.enabled() {
@@ -1095,16 +1159,9 @@ impl Replica {
             }
         }
         let ticket = self.verify_reorder.issue();
-        let mut task = PoolVerifyTask::new(
-            work,
-            self.crypto.clone(),
-            self.id.index(),
-            self.lane.parallel(),
-            matches!(self.lane, VerifyLane::Pool(_)),
-        );
-        let pool = self.lane.pool().cloned();
-        match pool {
+        match self.lane.pool().cloned() {
             Some(pool) => {
+                let task = PoolVerifyTask::new(work, self.crypto.clone(), self.id.index());
                 pool.submit(ticket, Box::new(task));
                 let m = ctx.metrics();
                 if m.enabled() {
@@ -1112,24 +1169,20 @@ impl Replica {
                 }
             }
             None => {
-                task.run();
-                self.absorb_task(ticket, task, ctx);
+                work.verify(&self.crypto, self.lane.parallel());
+                self.absorb_work(ticket, work, ctx);
             }
         }
     }
 
-    /// Absorb one finished verify task: stash the piggybacked
-    /// request-auth verdict, then release completed units through the
-    /// reorder buffer in strict ticket (dispatch) order and apply their
-    /// verdicts to the aom receiver. This is the in-order re-injection
-    /// invariant: a unit completes into the protocol exactly where
-    /// inline verification would have put it.
-    // neo-lint: verified(every task absorbed here already ran its authenticator checks in PoolVerifyTask::run before its verdict is applied)
-    fn absorb_task(&mut self, ticket: u64, task: PoolVerifyTask, ctx: &mut dyn Context) {
-        if let Some((digest, ok)) = task.request_auth {
-            self.cache_request_auth(digest, ok, ctx);
-        }
-        self.verify_reorder.accept(ticket, task.work, ctx.now());
+    /// Absorb one finished verify unit: release completed units through
+    /// the reorder buffer in strict ticket (dispatch) order and apply
+    /// their verdicts to the aom receiver. This is the in-order
+    /// re-injection invariant: a unit completes into the protocol exactly
+    /// where inline verification would have put it.
+    // neo-lint: verified(every unit absorbed here already ran its authenticator checks in VerifyWork::verify before its verdict is applied)
+    fn absorb_work(&mut self, ticket: u64, work: VerifyWork, ctx: &mut dyn Context) {
+        self.verify_reorder.accept(ticket, work, ctx.now());
         while let Some((work, stall)) = self.verify_reorder.pop_ready(ctx.now()) {
             {
                 let m = ctx.metrics();
@@ -1750,14 +1803,21 @@ impl Replica {
         if view != self.view || !self.is_leader() || self.status != Status::Normal {
             return;
         }
+        // The leader asks only about a slot it is missing: a final slot,
+        // or a round already decided or resolved, takes no certificate.
+        if self.slot_is_final(slot)
+            || self
+                .gaps
+                .get(&slot)
+                .is_some_and(|g| g.decision_sent || g.resolved)
+        {
+            return;
+        }
         if !self.verify_oc_for_slot(&oc, slot) || !self.slot_in_window(slot, ctx) {
             return;
         }
         // neo-lint: allow(R5, slot_in_window-bounded above)
         let gap = self.gaps.entry(slot).or_default();
-        if gap.decision_sent || gap.resolved {
-            return;
-        }
         gap.recv = Some(oc.clone());
         self.send_gap_decision(slot, GapDecisionBody::Recv(oc), ctx);
     }
@@ -1766,19 +1826,25 @@ impl Replica {
         if body.view != self.view || !self.is_leader() || self.status != Status::Normal {
             return;
         }
-        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
-            return;
-        }
         let quorum = self.cfg.quorum();
         let slot = body.slot;
-        if !self.slot_in_window(slot, ctx) {
+        if !self.gap_vote_admissible(slot, ctx) {
+            return;
+        }
+        // Decided rounds and repeated senders drop out unverified (the
+        // decision goes out the moment the 2f+1-th drop is held).
+        if self
+            .gaps
+            .get(&slot)
+            .is_some_and(|g| g.decision_sent || g.resolved || g.drops.contains_key(&body.replica))
+        {
+            return;
+        }
+        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
             return;
         }
         // neo-lint: allow(R5, slot_in_window-bounded above)
         let gap = self.gaps.entry(slot).or_default();
-        if gap.decision_sent || gap.resolved {
-            return;
-        }
         gap.drops.insert(body.replica, (body, sig));
         if gap.drops.len() >= quorum {
             let drops: Vec<_> = gap.drops.values().cloned().collect();
@@ -1803,8 +1869,10 @@ impl Replica {
         };
         self.broadcast(&msg, ctx);
         self.gaps.entry(slot).or_default().decision_sent = true;
-        // The leader validates its own decision and proceeds through the
-        // agreement like everyone else.
+        // The leader proceeds through the agreement like everyone else.
+        // Its decision needs no second validation: the ordering
+        // certificate was verified in `on_gap_recv` and every drop in
+        // `on_gap_drop` before it was held.
         self.adopt_decision(view, slot, decision, ctx);
     }
 
@@ -1819,6 +1887,29 @@ impl Replica {
         if view != self.view || self.status != Status::Normal {
             return;
         }
+        // A round that already holds a decision, or is resolved (the
+        // marker outlives the sync point), cannot take another: skip the
+        // leader signature and the up-to-2f+1 signatures inside.
+        if !self.slot_in_window(slot, ctx)
+            || self
+                .gaps
+                .get(&slot)
+                .is_some_and(|g| g.resolved || g.decision.is_some())
+        {
+            return;
+        }
+        // A final slot with no round here: a leader that lags behind the
+        // sync point can finish its round only if the others still vote,
+        // so a decision that restates the log is served, once. One that
+        // contradicts the log is not.
+        let restates_log = matches!(
+            (self.log.entry(slot), &decision),
+            (Some(LogEntry::Request(_)), GapDecisionBody::Recv(_))
+                | (Some(LogEntry::NoOp(_)), GapDecisionBody::Drop(_))
+        );
+        if self.slot_is_final(slot) && !restates_log {
+            return;
+        }
         let digest = gap_decision_digest(view, slot, &decision);
         if self
             .crypto
@@ -1827,9 +1918,24 @@ impl Replica {
         {
             return;
         }
-        self.adopt_decision(view, slot, decision, ctx);
+        // Validate decision contents (§5.4).
+        let valid = match &decision {
+            GapDecisionBody::Recv(oc) => self.verify_oc_for_slot(oc, slot),
+            GapDecisionBody::Drop(drops) => self.has_signed_quorum(
+                drops
+                    .iter()
+                    .filter(|(b, _)| b.slot == slot && b.view == view)
+                    .map(|(b, sig)| (b.replica, b, sig)),
+            ),
+        };
+        if valid {
+            self.adopt_decision(view, slot, decision, ctx);
+        }
     }
 
+    /// Take a *validated* decision into the slot's round and cast the
+    /// prepare vote.
+    // neo-lint: verified(callers validate first: on_gap_decision checks the leader signature and the contents; send_gap_decision builds the decision from inputs on_gap_recv / on_gap_drop verified)
     fn adopt_decision(
         &mut self,
         view: ViewId,
@@ -1837,31 +1943,7 @@ impl Replica {
         decision: GapDecisionBody,
         ctx: &mut dyn Context,
     ) {
-        // Validate decision contents (§5.4).
-        let recv = match &decision {
-            GapDecisionBody::Recv(oc) => {
-                if !self.verify_oc_for_slot(oc, slot) {
-                    return;
-                }
-                true
-            }
-            GapDecisionBody::Drop(drops) => {
-                let quorum = self.cfg.quorum();
-                let mut seen = std::collections::BTreeSet::new();
-                for (body, sig) in drops {
-                    if body.slot != slot || body.view != view {
-                        continue;
-                    }
-                    if verify_body(body, sig, Principal::Replica(body.replica), &self.crypto) {
-                        seen.insert(body.replica);
-                    }
-                }
-                if seen.len() < quorum {
-                    return;
-                }
-                false
-            }
-        };
+        let recv = matches!(decision, GapDecisionBody::Recv(_));
         let gap = self.gaps.entry(slot).or_default();
         if gap.resolved || gap.decision.is_some() {
             return;
@@ -1889,17 +1971,25 @@ impl Replica {
         if body.view != self.view || self.status != Status::Normal {
             return;
         }
-        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
+        if !self.gap_vote_admissible(body.slot, ctx) {
             return;
         }
-        if !self.slot_in_window(body.slot, ctx) {
+        // Prepares only move a round from phase 1 to phase 2: once this
+        // replica has committed (or resolved), or 2f prepares for this
+        // outcome are held, one more cannot change state.
+        let f2 = 2 * self.cfg.f;
+        if self
+            .gaps
+            .get(&body.slot)
+            .is_some_and(|g| g.resolved || g.committed || !g.vote_can_count(&g.prepares, &body, f2))
+        {
+            return;
+        }
+        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
             return;
         }
         // neo-lint: allow(R5, slot_in_window-bounded above)
         let gap = self.gaps.entry(body.slot).or_default();
-        if gap.resolved {
-            return;
-        }
         gap.prepares.insert(body.replica, (body, sig));
         self.check_gap_progress(body.slot, ctx);
     }
@@ -1908,17 +1998,22 @@ impl Replica {
         if body.view != self.view || self.status != Status::Normal {
             return;
         }
-        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
+        if !self.gap_vote_admissible(body.slot, ctx) {
             return;
         }
-        if !self.slot_in_window(body.slot, ctx) {
+        let quorum = self.cfg.quorum();
+        if self
+            .gaps
+            .get(&body.slot)
+            .is_some_and(|g| g.resolved || !g.vote_can_count(&g.commits, &body, quorum))
+        {
+            return;
+        }
+        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
             return;
         }
         // neo-lint: allow(R5, slot_in_window-bounded above)
         let gap = self.gaps.entry(body.slot).or_default();
-        if gap.resolved {
-            return;
-        }
         gap.commits.insert(body.replica, (body, sig));
         self.check_gap_progress(body.slot, ctx);
     }
@@ -1976,8 +2071,10 @@ impl Replica {
                 self.fill_slot(slot, LogEntry::Request(oc), ctx);
             }
             self.stats.gaps_recovered += 1;
-        } else {
-            // No-op: roll back if we speculatively executed this slot.
+        } else if !self.slot_is_final(slot) {
+            // No-op: roll back if we speculatively executed this slot. (A
+            // final slot holds its no-op already and has no undo history
+            // left: that round was only joined to serve a lagging peer.)
             if self.exec_cursor > slot {
                 self.rollback_to(slot, ctx);
             }
@@ -2055,14 +2152,14 @@ impl Replica {
             return;
         }
         self.last_sync_slot = latest_multiple;
-        // Gap certificates for slots committed as no-op in this view.
+        // Gap certificates for slots committed as no-op in this view
+        // (§B.2) — a peer that missed an agreement and the sync round
+        // after it still learns the no-op from the next vote. `gaps`
+        // keeps a marker per finished round, see `check_sync`.
         let mut drops = Vec::new();
-        for (slot, gap) in &self.gaps {
-            if *slot < latest_multiple {
-                if let Some(LogEntry::NoOp(Some(cert))) = self.log.entry(*slot) {
-                    let _ = gap;
-                    drops.push((*slot, cert.clone()));
-                }
+        for slot in self.gaps.range(..latest_multiple).map(|(slot, _)| *slot) {
+            if let Some(LogEntry::NoOp(Some(cert))) = self.log.entry(slot) {
+                drops.push((slot, cert.clone()));
             }
         }
         let body = SyncBody {
@@ -2092,12 +2189,22 @@ impl Replica {
         if body.view != self.view || self.status != Status::Normal {
             return;
         }
-        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
-            return;
-        }
         let slot = body.slot;
         if slot <= self.sync_point || !self.slot_in_window(slot, ctx) {
             return; // settled or far-future: nothing to collect
+        }
+        // The round settles the moment 2f votes from others are held, so
+        // the votes behind the quorum stop at the check above; a second
+        // vote from one sender stops here.
+        if self
+            .sync_votes
+            .get(&slot)
+            .is_some_and(|votes| votes.contains_key(&body.replica))
+        {
+            return;
+        }
+        if !verify_body(&body, &sig, Principal::Replica(body.replica), &self.crypto) {
+            return;
         }
         // neo-lint: allow(R5, slot_in_window-bounded above and pruned in check_sync)
         self.sync_votes
@@ -2118,12 +2225,18 @@ impl Replica {
         if others < f2 || slot <= self.sync_point {
             return;
         }
-        // Apply certified no-ops from any vote.
-        let mut to_apply: Vec<(SlotNum, crate::messages::GapCert)> = Vec::new();
+        // Apply certified no-ops from any vote. Every vote of the round
+        // carries the same slots, so a slot's certificate is verified
+        // once — the first valid one wins — and not at all where it
+        // cannot change the log: the slot already holds a certified
+        // no-op, or lies past the log tail.
+        let mut to_apply: BTreeMap<SlotNum, crate::messages::GapCert> = BTreeMap::new();
         for (body, _) in votes.values() {
             for (s, cert) in &body.drops {
-                if self.verify_gap_cert(*s, cert) {
-                    to_apply.push((*s, cert.clone()));
+                let settled = *s >= self.log.len()
+                    || matches!(self.log.entry(*s), Some(LogEntry::NoOp(Some(_))));
+                if !settled && !to_apply.contains_key(s) && self.verify_gap_cert(*s, cert) {
+                    to_apply.insert(*s, cert.clone());
                 }
             }
         }
@@ -2147,8 +2260,18 @@ impl Replica {
         // this round's signatures.
         self.maybe_certify_checkpoint(slot, ctx);
         // Settled rounds can never reach quorum again: prune them so the
-        // vote map stays bounded (neo-lint R5).
+        // vote map stays bounded (neo-lint R5). The gap rounds resolved
+        // below the sync point give up their ≈ 2n signed votes each and
+        // keep only the `resolved` marker, which is what turns away a
+        // replayed decision for the rest of the view; one still open
+        // here (this replica lags) stays whole.
         self.sync_votes = self.sync_votes.split_off(&SlotNum(slot.0 + 1));
+        for (_, gap) in self.gaps.range_mut(..slot).filter(|(_, g)| g.resolved) {
+            *gap = GapState {
+                resolved: true,
+                ..GapState::default()
+            };
+        }
         self.stats.sync_points += 1;
         ctx.metrics().incr("replica.sync_points");
         // Finalized: drop undo history for everything at or before the
@@ -2206,17 +2329,11 @@ impl Replica {
 
     /// Validate a gap certificate: 2f+1 distinct valid drop commits.
     fn verify_gap_cert(&self, slot: SlotNum, cert: &crate::messages::GapCert) -> bool {
-        let quorum = self.cfg.quorum();
-        let mut seen = std::collections::BTreeSet::new();
-        for (body, sig) in cert {
-            if body.slot != slot || body.recv {
-                continue;
-            }
-            if verify_body(body, sig, Principal::Replica(body.replica), &self.crypto) {
-                seen.insert(body.replica);
-            }
-        }
-        seen.len() >= quorum
+        self.has_signed_quorum(
+            cert.iter()
+                .filter(|(b, _)| b.slot == slot && !b.recv)
+                .map(|(b, sig)| (b.replica, b, sig)),
+        )
     }
 
     // ------------------------------------------------------------------
@@ -2343,17 +2460,11 @@ impl Replica {
     }
 
     fn verify_epoch_cert(&self, epoch: EpochNum, slot: SlotNum, cert: &EpochCert) -> bool {
-        let quorum = self.cfg.quorum();
-        let mut seen = std::collections::BTreeSet::new();
-        for (body, sig) in cert {
-            if body.epoch != epoch || body.start_slot != slot {
-                continue;
-            }
-            if verify_body(body, sig, Principal::Replica(body.replica), &self.crypto) {
-                seen.insert(body.replica);
-            }
-        }
-        seen.len() >= quorum
+        self.has_signed_quorum(
+            cert.iter()
+                .filter(|(b, _)| b.epoch == epoch && b.start_slot == slot)
+                .map(|(b, sig)| (b.replica, b, sig)),
+        )
     }
 
     fn maybe_start_view(&mut self, new_view: ViewId, ctx: &mut dyn Context) {
@@ -2981,7 +3092,15 @@ impl Node for Replica {
             let Ok(task) = d.task.into_any().downcast::<PoolVerifyTask>() else {
                 continue;
             };
-            self.absorb_task(d.ticket, *task, ctx);
+            let PoolVerifyTask {
+                work, request_auth, ..
+            } = *task;
+            // Stash the piggybacked request-auth verdict before the
+            // packet it belongs to can reach `execute_slot`.
+            if let Some((digest, ok)) = request_auth {
+                self.cache_request_auth(digest, ok, ctx);
+            }
+            self.absorb_work(d.ticket, work, ctx);
         }
         {
             let m = ctx.metrics();
@@ -3076,6 +3195,91 @@ mod tests {
             WireLogEntry::Request(oc) => Some(oc.packet.payload[0]),
             WireLogEntry::NoOp(_) => None,
         }
+    }
+
+    /// Inert context for driving handlers directly.
+    struct NullCtx;
+
+    impl Context for NullCtx {
+        fn now(&self) -> u64 {
+            0
+        }
+        fn me(&self) -> Addr {
+            Addr::Replica(ReplicaId(1))
+        }
+        fn send_after(&mut self, _: Addr, _: neo_wire::Payload, _: u64) {}
+        fn set_timer(&mut self, _: u64, _: u32) -> TimerId {
+            TimerId(0)
+        }
+        fn cancel_timer(&mut self, _: TimerId) {}
+        fn charge(&mut self, _: u64) {}
+    }
+
+    #[test]
+    fn a_final_slot_is_never_touched_by_a_gap_round() {
+        // Replica 1 of 4 has executed a no-op at slot 0 and a request at
+        // slot 1, both below its sync point, and holds no round (not even
+        // a marker) for either — the state a replayed or equivocating
+        // decision finds on a replica that never missed the message.
+        let keys = SystemKeys::new(3, 4, 0);
+        let signer = |r| NodeCrypto::new(Principal::Replica(ReplicaId(r)), &keys, CostModel::FREE);
+        let app = Box::new(neo_app::EchoApp::new());
+        let mut r = Replica::new(ReplicaId(1), NeoConfig::new(1), &keys, CostModel::FREE, app);
+        let mut log = Log::new();
+        log.fill(SlotNum(0), LogEntry::NoOp(None)).unwrap();
+        log.fill(SlotNum(1), LogEntry::Request(oc(2, 7))).unwrap();
+        r.set_log_for_tests(log);
+        (r.sync_point, r.exec_cursor) = (SlotNum(2), SlotNum(2));
+
+        let view = r.view;
+        let drop_decision = |slot| {
+            let drops = [0, 2, 3].map(|from| {
+                let replica = ReplicaId(from);
+                let body = GapDropBody {
+                    view,
+                    replica,
+                    slot,
+                };
+                let sig = sign_body(&body, &signer(from));
+                (body, sig)
+            });
+            let decision = GapDecisionBody::Drop(drops.to_vec());
+            let sig = signer(0).sign(&gap_decision_digest(view, slot, &decision));
+            (decision, sig)
+        };
+        // A drop decision against the request the log holds: refused.
+        let (decision, sig) = drop_decision(SlotNum(1));
+        r.on_gap_decision(view, SlotNum(1), decision, sig, &mut NullCtx);
+        assert!(
+            r.gaps.is_empty(),
+            "no round for a decision the log rules out"
+        );
+
+        // One that restates the log is served (a leader that lags behind
+        // the sync point needs the votes) and leaves the log alone: a
+        // rollback here would reach below the sync point, where the app
+        // has no undo history left.
+        let (decision, sig) = drop_decision(SlotNum(0));
+        r.on_gap_decision(view, SlotNum(0), decision, sig, &mut NullCtx);
+        for from in [0, 2, 3] {
+            let (replica, slot) = (ReplicaId(from), SlotNum(0));
+            let body = GapVoteBody {
+                view,
+                replica,
+                slot,
+                recv: false,
+            };
+            let sig = sign_body(&body, &signer(from));
+            r.on_gap_prepare(body, sig.clone(), &mut NullCtx);
+            r.on_gap_commit(body, sig, &mut NullCtx);
+        }
+        assert!(r.gaps.get(&SlotNum(0)).is_some_and(|g| g.resolved));
+        assert_eq!((r.stats.noops_committed, r.stats.rollbacks), (0, 0));
+        assert!(matches!(
+            r.log.entry(SlotNum(0)),
+            Some(LogEntry::NoOp(None))
+        ));
+        assert_eq!(r.exec_cursor, SlotNum(2));
     }
 
     #[test]

@@ -85,62 +85,14 @@ impl VerifyWork {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// The task shipped to the verify stage: the work plus a [`NodeCrypto`]
-/// clone. Clones share the meter, so worker-side charges land on the
-/// owning node's meter exactly as inline charges would — the simulator's
-/// cost accounting and the pool see the same numbers.
-pub struct PoolVerifyTask {
-    /// The verification unit; outcomes are recorded in the jobs.
-    pub work: VerifyWork,
-    /// Piggybacked client batch-MAC verdict for packet work: the pool
-    /// pre-verifies the §5.3 request authenticator so `execute_slot`
-    /// finds it ready, keyed by the packet's header digest.
-    pub request_auth: Option<([u8; 32], bool)>,
-    crypto: NodeCrypto,
-    my_index: usize,
-    parallel: bool,
-    precheck_mac: bool,
-}
-
-impl PoolVerifyTask {
-    /// Package `work` for the lane. `precheck_mac` piggybacks the client
-    /// batch-MAC check onto packet verification (pool lane only — inline
-    /// lanes keep the check in `execute_slot` so simulator charges are
-    /// unchanged).
-    pub fn new(
-        work: VerifyWork,
-        crypto: NodeCrypto,
-        my_index: usize,
-        parallel: bool,
-        precheck_mac: bool,
-    ) -> Self {
-        PoolVerifyTask {
-            work,
-            request_auth: None,
-            crypto,
-            my_index,
-            parallel,
-            precheck_mac,
-        }
-    }
-}
-
-impl VerifyTask for PoolVerifyTask {
-    fn run(&mut self) {
-        match &mut self.work {
-            VerifyWork::Packet(job) => {
-                job.verify(&self.crypto, self.parallel);
-                if self.precheck_mac && job.ok() {
-                    self.request_auth = precheck_request_auth(
-                        job.digest(),
-                        job.payload(),
-                        &self.crypto,
-                        self.my_index,
-                    );
-                }
-            }
+    /// Run the unit's authenticator checks through `crypto`, recording
+    /// each verdict in its job. The inline lanes call this with the
+    /// replica's own façade (no clone); the pool lane calls it from
+    /// [`PoolVerifyTask::run`] on a worker thread.
+    pub fn verify(&mut self, crypto: &NodeCrypto, parallel: bool) {
+        match self {
+            VerifyWork::Packet(job) => job.verify(crypto, parallel),
             VerifyWork::Confirms(jobs) => {
                 let items: Vec<(Principal, &[u8], &Signature)> = jobs
                     .iter()
@@ -149,10 +101,52 @@ impl VerifyTask for PoolVerifyTask {
                         (Principal::Replica(replica), msg, sig)
                     })
                     .collect();
-                let results = self.crypto.verify_batch(&items);
+                let results = crypto.verify_batch(&items);
                 for (job, res) in jobs.iter_mut().zip(results) {
                     job.set_verified(res.is_ok());
                 }
+            }
+        }
+    }
+}
+
+/// The task shipped to the pool lane: the work plus a [`NodeCrypto`]
+/// clone (a refcount bump). Clones share the meter, so worker-side
+/// charges land on the owning node's meter exactly as inline charges
+/// would — the simulator's cost accounting and the pool see the same
+/// numbers.
+pub struct PoolVerifyTask {
+    /// The verification unit; outcomes are recorded in the jobs.
+    pub work: VerifyWork,
+    /// Piggybacked client batch-MAC verdict for packet work: the pool
+    /// pre-verifies the §5.3 request authenticator so `execute_slot`
+    /// finds it ready, keyed by the packet's header digest. (Inline
+    /// lanes keep that check in `execute_slot`, so simulator charges
+    /// stay where they were.)
+    pub request_auth: Option<([u8; 32], bool)>,
+    crypto: NodeCrypto,
+    my_index: usize,
+}
+
+impl PoolVerifyTask {
+    /// Package `work` for a worker thread.
+    pub fn new(work: VerifyWork, crypto: NodeCrypto, my_index: usize) -> Self {
+        PoolVerifyTask {
+            work,
+            request_auth: None,
+            crypto,
+            my_index,
+        }
+    }
+}
+
+impl VerifyTask for PoolVerifyTask {
+    fn run(&mut self) {
+        self.work.verify(&self.crypto, true);
+        if let VerifyWork::Packet(job) = &self.work {
+            if job.ok() {
+                self.request_auth =
+                    precheck_request_auth(job.digest(), job.payload(), &self.crypto, self.my_index);
             }
         }
     }
