@@ -664,7 +664,7 @@ impl AomReceiver {
                     self.outgoing.push(sc);
                     self.confirms_generated += 1;
                 }
-                self.try_complete(seq);
+                self.drain();
             }
         }
     }
@@ -708,11 +708,12 @@ impl AomReceiver {
             self.window_rejected += 1;
             return Err(AomError::OutOfWindow);
         }
-        if let Some(held) = self.confirms.get(&sc.body.seq) {
-            let same_hash = held.values().filter(|c| c.body.hash == sc.body.hash);
-            if held.contains_key(&sc.body.replica) || same_hash.count() > 2 * self.f {
-                return Ok(None);
-            }
+        let held_from_sender = self
+            .confirms
+            .get(&sc.body.seq)
+            .is_some_and(|held| held.contains_key(&sc.body.replica));
+        if held_from_sender || self.has_confirm_quorum(sc.body.seq, sc.body.hash) {
+            return Ok(None);
         }
         let Ok(bytes) = encode(&sc.body) else {
             self.internal_errors += 1;
@@ -760,7 +761,7 @@ impl AomReceiver {
         // First valid confirm per sender wins, as at submit (two from
         // one sender can both be in flight on the pool lane).
         slot_confirms.entry(job.sc.body.replica).or_insert(job.sc);
-        self.try_complete(seq);
+        self.drain();
         Ok(())
     }
 
@@ -770,60 +771,44 @@ impl AomReceiver {
         std::mem::take(&mut self.outgoing)
     }
 
-    fn try_complete(&mut self, seq: SeqNum) {
-        if self.trust != NetworkTrust::Byzantine {
-            return;
-        }
-        let Some(locked_hash) = self.locked.get(&seq) else {
-            return;
-        };
-        if !self.ready.contains_key(&seq) {
-            return;
-        }
-        let quorum = 2 * self.f + 1;
-        let matching = self
-            .confirms
+    /// Byzantine mode: the confirms held for `seq` that carry `hash`
+    /// number 2f+1 — the one quorum check, shared by confirm admission (a
+    /// full slot needs no further signature spent on it) and delivery
+    /// (where `hash` is the locked one).
+    fn has_confirm_quorum(&self, seq: SeqNum, hash: Digest) -> bool {
+        self.confirms
             .get(&seq)
-            .map(|m| m.values().filter(|c| c.body.hash == *locked_hash).count())
-            .unwrap_or(0);
-        if matching >= quorum {
-            self.drain();
-        }
+            .is_some_and(|held| held.values().filter(|c| c.body.hash == hash).count() > 2 * self.f)
     }
 
     /// Deliver everything in order that is deliverable.
     fn drain(&mut self) {
         loop {
             let seq = self.next;
-            let Some(pkt) = self.ready.get(&seq) else {
+            if !self.ready.contains_key(&seq) {
+                return;
+            }
+            let hash = self.locked.get(&seq).copied();
+            if self.trust == NetworkTrust::Byzantine
+                && !hash.is_some_and(|h| self.has_confirm_quorum(seq, h))
+            {
+                return;
+            }
+            // The slot leaves the receiver: its packet and the confirms
+            // for the locked hash move into the certificate.
+            let Some(packet) = self.ready.remove(&seq) else {
                 return;
             };
-            if self.trust == NetworkTrust::Byzantine {
-                let quorum = 2 * self.f + 1;
-                let locked_hash = self.locked.get(&seq).copied();
-                let Some(h) = locked_hash else { return };
-                let matching: Vec<SignedConfirm> = self
-                    .confirms
-                    .get(&seq)
-                    .map(|m| m.values().filter(|c| c.body.hash == h).cloned().collect())
-                    .unwrap_or_default();
-                if matching.len() < quorum {
-                    return;
-                }
-                let cert = OrderingCert {
-                    packet: pkt.clone(),
-                    confirms: matching,
-                };
-                self.out.push_back(Delivery::Message(cert));
-            } else {
-                self.out.push_back(Delivery::Message(OrderingCert {
-                    packet: pkt.clone(),
-                    confirms: Vec::new(),
-                }));
-            }
-            self.ready.remove(&seq);
             self.locked.remove(&seq);
-            self.confirms.remove(&seq);
+            let confirms = self
+                .confirms
+                .remove(&seq)
+                .unwrap_or_default()
+                .into_values()
+                .filter(|c| Some(c.body.hash) == hash)
+                .collect();
+            self.out
+                .push_back(Delivery::Message(OrderingCert { packet, confirms }));
             self.delivered += 1;
             self.next = self.next.next();
         }

@@ -9,93 +9,9 @@
 //! 3. **Subgroup fan-out** (§4.3/§6.3): Neo-HM receivers with and
 //!    without the ⌈n/4⌉-packets-per-message cost at a mid-size group.
 
-use neo_bench::harness::{build, collect, Protocol, RunParams};
+use neo_bench::harness::{run_experiment, run_experiment_with, Protocol, RunParams};
 use neo_bench::{fmt_ops, fmt_us, Table};
-use neo_core::{NeoConfig, Replica};
 use neo_sim::MILLIS;
-use neo_wire::{Addr, ReplicaId};
-
-fn run(params: &RunParams) -> neo_bench::RunResult {
-    let mut sim = build(params);
-    sim.run_until(params.warmup + params.measure);
-    collect(&sim, params)
-}
-
-/// Like the harness runner, but with a caller-tweaked `NeoConfig`
-/// (the knobs under ablation are per-replica configuration).
-fn run_with_cfg(params: &RunParams, tweak: impl Fn(&mut NeoConfig)) -> neo_bench::RunResult {
-    use neo_aom::{AuthMode, ConfigService, SequencerHw, SequencerNode};
-    use neo_app::EchoWorkload;
-    use neo_core::Client;
-    use neo_crypto::SystemKeys;
-    use neo_sim::{CpuConfig, SimConfig, Simulator};
-    use neo_wire::{ClientId, GroupId};
-
-    let group = GroupId(0);
-    let n = params.n_replicas();
-    let keys = SystemKeys::new(params.seed, n, params.n_clients);
-    let mut cfg = NeoConfig::new(params.f);
-    if matches!(params.protocol, Protocol::NeoBn) {
-        cfg = cfg.with_byzantine_network();
-    }
-    tweak(&mut cfg);
-    let mut sim = Simulator::new(SimConfig {
-        net: params.net,
-        default_cpu: params.server_cpu,
-        seed: params.seed,
-        faults: neo_sim::FaultPlan::none(),
-    });
-    let mut config = ConfigService::new();
-    config.register_group(group, (0..n as u32).map(ReplicaId).collect(), params.f);
-    sim.add_node_with_cpu(Addr::Config, Box::new(config), CpuConfig::IDEAL);
-    let sequencer = SequencerNode::new(
-        group,
-        (0..n as u32).map(ReplicaId).collect(),
-        AuthMode::HmacVector,
-        SequencerHw::Tofino(neo_switch::TofinoModel::PAPER),
-        &keys,
-    );
-    sim.add_node_with_cpu(
-        Addr::Sequencer(group),
-        Box::new(sequencer),
-        CpuConfig {
-            dispatch_ns: 0,
-            send_ns: 5,
-            ns_per_kb: 0,
-            cores: 1,
-        },
-    );
-    for r in 0..n as u32 {
-        let replica = Replica::new(
-            ReplicaId(r),
-            cfg.clone(),
-            &keys,
-            params.costs,
-            Box::new(neo_app::EchoApp::new()),
-        );
-        sim.add_node_with_cpu(
-            Addr::Replica(ReplicaId(r)),
-            Box::new(replica),
-            params.server_cpu,
-        );
-    }
-    for c in 0..params.n_clients as u64 {
-        let client = Client::new(
-            ClientId(c),
-            cfg.clone(),
-            &keys,
-            params.costs,
-            Box::new(EchoWorkload::new(64, c + 1)),
-        );
-        sim.add_node_with_cpu(
-            Addr::Client(ClientId(c)),
-            Box::new(client),
-            params.client_cpu,
-        );
-    }
-    sim.run_until(params.warmup + params.measure);
-    collect(&sim, params)
-}
 
 fn main() {
     let mut t = Table::new(
@@ -108,7 +24,7 @@ fn main() {
         let mut p = RunParams::new(Protocol::NeoBn, 64);
         p.warmup = 15 * MILLIS;
         p.measure = 50 * MILLIS;
-        let r = run_with_cfg(&p, |c| c.batch_confirms = batched);
+        let r = run_experiment_with(&p, &|c| c.batch_confirms = batched);
         t.row(vec![
             "confirm batching".into(),
             label.into(),
@@ -129,7 +45,7 @@ fn main() {
         let mut p = RunParams::new(proto, 64);
         p.warmup = 15 * MILLIS;
         p.measure = 50 * MILLIS;
-        let r = run(&p);
+        let r = run_experiment(&p);
         t.row(vec![
             "aom-pk signing".into(),
             label.into(),
@@ -143,14 +59,13 @@ fn main() {
         ("⌈n/4⌉ packets/msg (§4.3)", true),
         ("single packet (ideal)", false),
     ] {
-        let mut p = RunParams::new(Protocol::NeoHmSoftware, 48);
+        // The switch sequencer, so the only cost that varies is the
+        // receivers' per-subgroup packet handling.
+        let mut p = RunParams::new(Protocol::NeoHm, 48);
         p.f = 10; // n = 31
         p.warmup = 15 * MILLIS;
         p.measure = 50 * MILLIS;
-        let r = run_with_cfg(&p, |c| {
-            *c = NeoConfig::new(10);
-            c.emulate_hm_subgroups = emulate;
-        });
+        let r = run_experiment_with(&p, &|c| c.emulate_hm_subgroups = emulate);
         t.row(vec![
             "hm subgroups (n=31)".into(),
             label.into(),

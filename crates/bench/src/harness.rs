@@ -272,7 +272,15 @@ impl RunResult {
 
 /// Execute one experiment.
 pub fn run_experiment(params: &RunParams) -> RunResult {
-    let mut sim = build(params);
+    run_experiment_with(params, &|_| {})
+}
+
+/// Execute one experiment with `tweak` applied to the [`NeoConfig`] the
+/// protocol's replicas and clients are built from, after `params` has
+/// shaped it — ablations flip one knob that has no `RunParams` field.
+/// Baseline protocols have no `NeoConfig` and ignore it.
+pub fn run_experiment_with(params: &RunParams, tweak: &dyn Fn(&mut NeoConfig)) -> RunResult {
+    let mut sim = build_with(params, tweak);
     sim.run_until(params.warmup + params.measure);
     collect(&sim, params)
 }
@@ -280,6 +288,10 @@ pub fn run_experiment(params: &RunParams) -> RunResult {
 /// Build the simulator for an experiment without running it (failover
 /// experiments drive it in phases).
 pub fn build(params: &RunParams) -> Simulator {
+    build_with(params, &|_| {})
+}
+
+fn build_with(params: &RunParams, tweak: &dyn Fn(&mut NeoConfig)) -> Simulator {
     let n = params.n_replicas();
     let keys = SystemKeys::new(params.seed, n, params.n_clients);
     let mut sim = Simulator::new(SimConfig {
@@ -295,7 +307,11 @@ pub fn build(params: &RunParams) -> Simulator {
         | Protocol::NeoPk
         | Protocol::NeoBn
         | Protocol::NeoHmSoftware
-        | Protocol::NeoPkSoftware => build_neo(params, n, &keys, &mut sim),
+        | Protocol::NeoPkSoftware => {
+            let mut cfg = neo_config(params);
+            tweak(&mut cfg);
+            build_neo(params, cfg, n, &keys, &mut sim)
+        }
         Protocol::Pbft => build_baseline(params, n, &keys, &mut sim, BaselineKind::Pbft),
         Protocol::Zyzzyva => build_baseline(
             params,
@@ -377,9 +393,7 @@ fn replica_cpu(params: &RunParams) -> CpuConfig {
     }
 }
 
-fn build_neo(params: &RunParams, n: usize, keys: &SystemKeys, sim: &mut Simulator) {
-    let cfg = neo_config(params);
-
+fn build_neo(params: &RunParams, cfg: NeoConfig, n: usize, keys: &SystemKeys, sim: &mut Simulator) {
     let mut config = ConfigService::new();
     config.register_group(GROUP, (0..n as u32).map(ReplicaId).collect(), params.f);
     sim.add_node_with_cpu(Addr::Config, Box::new(config), CpuConfig::IDEAL);

@@ -1,9 +1,11 @@
 //! Harness smoke tests: every protocol commits operations under the
 //! calibrated cost model, and headline orderings from the paper hold.
 
-use neo_bench::harness::{build, run_experiment, Protocol, RunParams};
+use neo_bench::harness::{build, run_experiment, run_experiment_with, Protocol, RunParams};
 use neo_core::{BatchPolicy, Replica};
-use neo_sim::MILLIS;
+use neo_crypto::CostModel;
+use neo_sim::obs::Event;
+use neo_sim::{CpuConfig, MILLIS};
 use neo_wire::{Addr, ReplicaId};
 
 /// Paper-testbed defaults with tiny windows.
@@ -180,6 +182,83 @@ fn verify_workers_multiply_neo_bn_throughput_at_batch_16() {
         "4 modeled verify workers must at least double the serial lane at batch 16: {} vs {}",
         pooled.throughput,
         serial.throughput
+    );
+}
+
+#[test]
+fn confirms_leave_in_the_virtual_instant_they_are_signed_when_nothing_else_is_ready() {
+    // The Byzantine-network confirm flush is "this node has run out of
+    // ready input", never a timed wait: on a group with nothing queued,
+    // every confirm's envelope is emitted in the instant of the aom
+    // handler that signed it. One closed-loop client under the calibrated
+    // costs exercises the head-of-line rule (each packet is the one the
+    // receiver delivers next). Two clients on a zero-cost CPU exercise the
+    // deferred flush: the second packet of each pair is not head of line,
+    // and a zero-delay timer armed by a handler that takes no virtual time
+    // fires in that handler's instant.
+    for (clients, zero_cost) in [(1, false), (2, true)] {
+        let mut p = smoke(Protocol::NeoBn, clients);
+        p.warmup = 0;
+        p.measure = 5 * MILLIS;
+        if zero_cost {
+            p.costs = CostModel::FREE;
+            p.server_cpu = CpuConfig::IDEAL;
+        }
+        let mut sim = build(&p);
+        sim.run_until(p.measure);
+        for r in 0..p.n_replicas() as u32 {
+            let trace = sim
+                .metrics(Addr::Replica(ReplicaId(r)))
+                .expect("replica registered")
+                .trace_snapshot();
+            let mut signed_at = std::collections::VecDeque::new();
+            let mut flushed = 0usize;
+            for rec in trace {
+                match rec.event {
+                    Event::Confirm { .. } => signed_at.push_back(rec.at),
+                    Event::ConfirmBatch { size } => {
+                        for at in signed_at.drain(..size as usize) {
+                            assert_eq!(
+                                rec.at, at,
+                                "{clients} client(s), replica {r}: confirm signed at {at} ns left at {} ns",
+                                rec.at
+                            );
+                            flushed += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            assert!(flushed > 20, "replica {r} flushed {flushed} confirms");
+            assert!(signed_at.is_empty(), "replica {r} ended holding confirms");
+        }
+    }
+}
+
+#[test]
+fn confirm_batching_survives_saturation() {
+    // The `ablations` bench's confirm-batching pair as a shape: with no
+    // timed wait, a batch is whatever accumulates while the replica is
+    // busy, and at 64 closed-loop clients that must still be worth more
+    // than 2x over one envelope per confirm (§6.2).
+    let mut p = RunParams::new(Protocol::NeoBn, 64);
+    p.warmup = 10 * MILLIS;
+    p.measure = 20 * MILLIS;
+    let batched = run_experiment_with(&p, &|c| c.batch_confirms = true);
+    let per_packet = run_experiment_with(&p, &|c| c.batch_confirms = false);
+    assert!(per_packet.committed > 100, "per-packet run commits");
+    assert!(
+        batched.throughput >= 2.0 * per_packet.throughput,
+        "batched confirms must at least double per-packet at saturation: {} vs {}",
+        batched.throughput,
+        per_packet.throughput
+    );
+    let sizes = &batched.obs.aggregate.histograms["replica.confirm_batch_size"];
+    assert!(
+        sizes.sum > sizes.count,
+        "mean confirm batch size must exceed 1: {} confirms in {} envelopes",
+        sizes.sum,
+        sizes.count
     );
 }
 

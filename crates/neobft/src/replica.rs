@@ -86,7 +86,8 @@ enum TimerPayload {
     /// A unicast-fallback request never arrived via aom; suspect the
     /// sequencer.
     UnicastWatchdog(ClientId, RequestId),
-    /// Flush the accumulated confirm batch (Byzantine-network mode).
+    /// Flush the accumulated confirm batch (Byzantine-network mode);
+    /// armed with zero delay, so it means "ready input drained".
     ConfirmFlush,
     /// Re-broadcast the state-transfer query while still recovering.
     StateTransferRetry,
@@ -666,10 +667,10 @@ impl Replica {
     // aom delivery path (§5.3)
     // ------------------------------------------------------------------
 
-    /// Confirms per batch before an eager flush (§6.2 batching).
+    /// Confirms per envelope (§6.2 batching). A smaller batch is flushed
+    /// as soon as this node has run out of ready input — never after a
+    /// wall-clock wait.
     const CONFIRM_BATCH: usize = 8;
-    /// How long a confirm may wait for batching before it is flushed.
-    const CONFIRM_FLUSH_NS: u64 = 40 * neo_sim::MICROS;
     /// How far past the log tail remote messages may create per-slot
     /// agreement/sync state (neo-lint R5: Byzantine peers naming
     /// far-future slots must not grow maps at will).
@@ -1225,10 +1226,24 @@ impl Replica {
             }
             if self.cfg.batch_confirms {
                 self.pending_confirms.extend(outgoing);
-                if self.pending_confirms.len() >= Self::CONFIRM_BATCH {
+                // The confirm for the sequence number the receiver
+                // delivers next is never held: every peer's pipeline
+                // waits on it, and with no backlog in front of it there
+                // is nothing to batch it with. Confirms for later
+                // sequence numbers batch behind the slot in front.
+                let head = self.aom.next_seq();
+                if self.pending_confirms.len() >= Self::CONFIRM_BATCH
+                    || self.pending_confirms.iter().any(|c| c.body.seq == head)
+                {
                     self.flush_confirms(ctx);
                 } else if self.confirm_flush_timer.is_none() {
-                    let t = self.arm(Self::CONFIRM_FLUSH_NS, TimerPayload::ConfirmFlush, ctx);
+                    // Zero-delay deferral: the flush runs once the input
+                    // that was ready when this handler started has been
+                    // handled (the UDP loop's next turn after draining
+                    // the socket; in the simulator, after the events
+                    // already queued behind a busy node), so a batch is
+                    // whatever accumulated while the node was busy.
+                    let t = self.arm(0, TimerPayload::ConfirmFlush, ctx);
                     self.confirm_flush_timer = Some(t);
                 }
             } else {

@@ -13,13 +13,15 @@
 //! spawned with the fallible [`try_spawn_node`] — lookup and bind
 //! failures come back as a [`RuntimeError`] instead of a panic.
 //!
-//! The node loop is *batched*: each wakeup drains every due timer and
-//! delayed send and every ready packet into one reused [`RtCtx`] (its
-//! effect buffers are cleared between events, never reallocated), then
-//! flushes the node's durable store (one batched fsync, timed into
-//! `store.fsync_ns` — the write-ahead log is durable before any reply
-//! from the batch leaves the socket) and finally the coalesced outgoing
-//! sends in one pass. Payloads are
+//! The node loop is *batched*: each turn handles every due timer and
+//! delayed send, then up to `RECV_BURST` ready packets, through one
+//! reused [`RtCtx`] (its effect buffers are cleared between events, never
+//! reallocated). An event's sends leave the socket as soon as its handler
+//! returns — unless the node's durable store is dirty: then they queue
+//! until the turn's durability point, where one batched fsync (timed into
+//! `store.fsync_ns`) covers every event of the turn before any of their
+//! sends is released, so no acknowledgment outruns the write-ahead log.
+//! Payloads are
 //! [`neo_wire::Payload`]s end to end, so a broadcast that fans out to
 //! the whole group costs one encode regardless of group size. Batch
 //! sizes and send failures are recorded in the node's metrics registry
@@ -602,9 +604,9 @@ type DelayedHeap = BinaryHeap<Reverse<(u64, u64, Addr, Payload)>>;
 
 /// Move one event's effects out of the reused `ctx` into the loop's
 /// queues: cancels into the tombstone set, new timers onto the timer
-/// heap, immediate sends onto the coalesced `out` queue (flushed after
-/// the batch), and delayed sends onto the delayed heap. Clears `ctx`'s
-/// buffers keeping their capacity.
+/// heap, immediate sends onto the `out` queue (see [`Outbox::release`]),
+/// and delayed sends onto the delayed heap. Clears `ctx`'s buffers
+/// keeping their capacity.
 fn drain_effects(
     ctx: &mut RtCtx,
     timers: &mut TimerHeap,
@@ -643,6 +645,70 @@ const HEALTH_REFRESH: Duration = Duration::from_millis(200);
 /// family cannot grow with the address space a misconfigured book (or an
 /// adversarial roster) names.
 const SEND_FAIL_LABEL_CAP: usize = 8;
+
+/// Datagrams handled per loop turn. Sustained input must not starve what
+/// follows the receive phase — due timers (a zero-delay timer means
+/// "when the ready input is drained"), verify completions, the store
+/// flush, held sends, the stop flag — so the phase ends after this many
+/// and the loop comes back for the rest on its next turn.
+const RECV_BURST: usize = 64;
+
+/// The node loop's sending half: the sends that await release, and the
+/// failure accounting every release shares.
+struct Outbox<'a> {
+    me: Addr,
+    sock: &'a UdpSocket,
+    book: &'a AddressBook,
+    metrics: &'a Metrics,
+    /// Immediate sends, in the order events produced them.
+    queue: Vec<(Addr, Payload)>,
+    /// Destinations whose send failures were already logged; failures
+    /// stay *counted* per packet in `runtime_send_failed`.
+    fail_logged: HashSet<Addr>,
+    /// Destinations that own a `runtime.send_failed.<addr>` label
+    /// (bounded at SEND_FAIL_LABEL_CAP; the overflow shares one
+    /// `runtime.send_failed.other` counter).
+    fail_labeled: HashSet<Addr>,
+}
+
+impl Outbox<'_> {
+    /// Put the queued sends on the wire, in order — unless `node`'s store
+    /// holds appends that are not yet durable. Then they stay queued, and
+    /// the loop's durability point flushes the store before it releases
+    /// them: no acknowledgment outruns the write-ahead log, and one fsync
+    /// covers the whole turn.
+    async fn release(&mut self, node: &mut dyn Node) {
+        if node.store().is_some_and(|store| store.dirty()) {
+            return;
+        }
+        for (to, payload) in self.queue.drain(..) {
+            let err = match self.book.lookup(to) {
+                Some(dst) => self.sock.send_to(&payload, dst).await.err(),
+                None => Some(std::io::Error::other("destination not in address book")),
+            };
+            let Some(e) = err else { continue };
+            // Global total plus a per-destination label: one unreachable
+            // peer is attributable from the counters, not just the
+            // first-failure log line. Labels are cardinality-bounded —
+            // after SEND_FAIL_LABEL_CAP distinct destinations, further
+            // ones share the `other` bucket.
+            self.metrics.incr("runtime_send_failed");
+            if self.fail_labeled.contains(&to) || self.fail_labeled.len() < SEND_FAIL_LABEL_CAP {
+                self.fail_labeled.insert(to);
+                self.metrics.incr(&format!("runtime.send_failed.{to}"));
+            } else {
+                self.metrics.incr("runtime.send_failed.other");
+            }
+            if self.fail_logged.insert(to) {
+                eprintln!(
+                    "node {}: send to {to} failed: {e} \
+                     (further failures to this destination are counted, not logged)",
+                    self.me
+                );
+            }
+        }
+    }
+}
 
 /// Refresh the shared health document from the node's current state.
 fn publish_health(
@@ -709,15 +775,15 @@ fn run_node(
         // Reused receive buffer; payloads are copied out only when the
         // node keeps them (decode borrows `&buf[..len]`).
         let mut buf = vec![0u8; 65_536];
-        // Coalesced outgoing sends, flushed once per batch.
-        let mut out: Vec<(Addr, Payload)> = Vec::new();
-        // Destinations whose send failures were already logged; failures
-        // stay *counted* per packet in `runtime_send_failed`.
-        let mut fail_logged: HashSet<Addr> = HashSet::new();
-        // Destinations that own a `runtime.send_failed.<addr>` label
-        // (bounded at SEND_FAIL_LABEL_CAP; the overflow shares one
-        // `runtime.send_failed.other` counter).
-        let mut fail_labeled: HashSet<Addr> = HashSet::new();
+        let mut out = Outbox {
+            me,
+            sock: &sock,
+            book: &book,
+            metrics: &metrics,
+            queue: Vec::new(),
+            fail_logged: HashSet::new(),
+            fail_labeled: HashSet::new(),
+        };
         // Last health publication (None = not yet published).
         let mut last_health: Option<Instant> = None;
         // One context for the node's lifetime; effect buffers are
@@ -762,7 +828,8 @@ fn run_node(
 
             // Batch phase 1: drain every due timer and delayed send.
             // Timers win ties with delayed sends at the same deadline,
-            // matching the simulator's ordering.
+            // matching the simulator's ordering. Each event's sends are
+            // released as soon as its handler returns (`Outbox::release`).
             let mut events = 0u64;
             loop {
                 let now_ns = start.elapsed().as_nanos() as u64;
@@ -780,23 +847,28 @@ fn run_node(
                             &mut timers,
                             &mut delayed,
                             &mut cancelled,
-                            &mut out,
+                            &mut out.queue,
                             &mut timer_seq,
                         );
+                        out.release(node.as_mut()).await;
                         events += 1;
                     }
                 } else if send_at <= now_ns {
                     let Reverse((_, _, to, payload)) = delayed.pop().expect("peeked");
-                    out.push((to, payload));
+                    out.queue.push((to, payload));
+                    out.release(node.as_mut()).await;
                 } else {
                     break;
                 }
             }
 
-            // Batch phase 2: drain every ready packet without blocking.
-            // Due timers accumulated meanwhile fire on the next loop
-            // iteration, before the idle wait.
-            while let Ok((len, src)) = sock.try_recv_from(&mut buf) {
+            // Batch phase 2: handle the ready packets without blocking,
+            // RECV_BURST at most. Timers that came due meanwhile fire on
+            // the next loop iteration, before the idle wait.
+            for _ in 0..RECV_BURST {
+                let Ok((len, src)) = sock.try_recv_from(&mut buf) else {
+                    break;
+                };
                 if let Some(from) = book.resolve(src) {
                     // Digest before dispatch: the flight recorder shows
                     // the packet even if the handler panics on it.
@@ -807,9 +879,10 @@ fn run_node(
                         &mut timers,
                         &mut delayed,
                         &mut cancelled,
-                        &mut out,
+                        &mut out.queue,
                         &mut timer_seq,
                     );
+                    out.release(node.as_mut()).await;
                     events += 1;
                 }
             }
@@ -828,18 +901,18 @@ fn run_node(
                         &mut timers,
                         &mut delayed,
                         &mut cancelled,
-                        &mut out,
+                        &mut out.queue,
                         &mut timer_seq,
                     );
                     events += collected;
                 }
             }
 
-            // Durability point: make the batch's WAL appends durable
-            // *before* releasing its sends, so no acknowledgment ever
-            // outruns the write-ahead log (one batched fsync covers
-            // every event of the batch). Wall-clock cost lands in the
-            // `store.fsync_ns` histogram — the recovery drill reads it.
+            // Durability point: make the turn's WAL appends durable,
+            // then release the sends that waited for them (one batched
+            // fsync covers every event of the turn). Wall-clock cost
+            // lands in the `store.fsync_ns` histogram — the recovery
+            // drill reads it.
             if let Some(store) = node.store() {
                 if store.dirty() {
                     let t0 = Instant::now();
@@ -849,36 +922,7 @@ fn run_node(
                     metrics.incr("store.flushes");
                 }
             }
-
-            // Flush the batch's coalesced sends in one pass, preserving
-            // the order events produced them.
-            for (to, payload) in out.drain(..) {
-                let err = match book.lookup(to) {
-                    Some(dst) => sock.send_to(&payload, dst).await.err(),
-                    None => Some(std::io::Error::other("destination not in address book")),
-                };
-                if let Some(e) = err {
-                    // Global total plus a per-destination label: one
-                    // unreachable peer is attributable from the
-                    // counters, not just the first-failure log line.
-                    // Labels are cardinality-bounded — after
-                    // SEND_FAIL_LABEL_CAP distinct destinations, further
-                    // ones share the `other` bucket.
-                    metrics.incr("runtime_send_failed");
-                    if fail_labeled.contains(&to) || fail_labeled.len() < SEND_FAIL_LABEL_CAP {
-                        fail_labeled.insert(to);
-                        metrics.incr(&format!("runtime.send_failed.{to}"));
-                    } else {
-                        metrics.incr("runtime.send_failed.other");
-                    }
-                    if fail_logged.insert(to) {
-                        eprintln!(
-                            "node {me}: send to {to} failed: {e} \
-                             (further failures to this destination are counted, not logged)"
-                        );
-                    }
-                }
-            }
+            out.release(node.as_mut()).await;
 
             // Telemetry: refresh the published health document at a
             // coarse cadence (before the busy-path `continue`, so a
@@ -937,6 +981,8 @@ fn run_node(
 mod tests {
     use super::*;
     use std::any::Any;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     #[test]
     fn address_book_localhost_layout() {
@@ -1005,25 +1051,241 @@ mod tests {
         );
     }
 
+    /// What the loop handed a [`Probe`].
+    enum Input<'a> {
+        Message(Addr, &'a [u8]),
+        Timer(u32),
+    }
+
+    /// A node that is one closure, plus the store the loop should see.
+    struct Probe<F> {
+        handler: F,
+        store: Option<GatedStore>,
+    }
+
+    impl<F: FnMut(Input<'_>, &mut dyn Context) + Send + 'static> Probe<F> {
+        fn boxed(handler: F) -> Box<dyn Node> {
+            Box::new(Probe {
+                handler,
+                store: None,
+            })
+        }
+    }
+
+    impl<F: FnMut(Input<'_>, &mut dyn Context) + Send + 'static> Node for Probe<F> {
+        fn on_message(&mut self, from: Addr, payload: &[u8], ctx: &mut dyn Context) {
+            (self.handler)(Input::Message(from, payload), ctx);
+        }
+        fn on_timer(&mut self, _: TimerId, kind: u32, ctx: &mut dyn Context) {
+            (self.handler)(Input::Timer(kind), ctx);
+        }
+        fn store(&mut self) -> Option<&mut dyn neo_sim::store::Store> {
+            self.store
+                .as_mut()
+                .map(|s| s as &mut dyn neo_sim::store::Store)
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A store whose `flush` announces itself and then waits to be let
+    /// through, so a test can look at the wire while the loop is inside
+    /// the durability point.
+    struct GatedStore {
+        dirty: Arc<AtomicBool>,
+        entered: mpsc::Sender<()>,
+        gate: mpsc::Receiver<()>,
+    }
+
+    impl neo_sim::store::Store for GatedStore {
+        fn append(&mut self, _: &[u8]) {}
+        fn dirty(&self) -> bool {
+            self.dirty.load(Ordering::SeqCst)
+        }
+        fn flush(&mut self) -> u64 {
+            let _ = self.entered.send(());
+            let _ = self.gate.recv();
+            self.dirty.store(false, Ordering::SeqCst);
+            0
+        }
+        fn put_checkpoint(&mut self, _: &[u8]) {}
+        fn checkpoint(&self) -> Option<Vec<u8>> {
+            None
+        }
+        fn log_records(&self) -> Vec<Vec<u8>> {
+            Vec::new()
+        }
+        fn reset_log(&mut self, _: &[Vec<u8>]) {}
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    /// A two-address deployment: the node under test is `replica(0)`; the
+    /// test itself holds a plain socket bound where `replica(1)` lives,
+    /// so its datagrams resolve and it sees what the node sends.
+    fn node_and_peer(base_port: u16) -> (Deployment, std::net::UdpSocket, SocketAddr) {
+        let dep = AddressBook::builder()
+            .replicas(2)
+            .clients(0)
+            .base_port(base_port)
+            .build()
+            .unwrap();
+        let peer = std::net::UdpSocket::bind(dep.book().lookup(dep.replica(1)).unwrap()).unwrap();
+        let node_at = dep.book().lookup(dep.replica(0)).unwrap();
+        (dep, peer, node_at)
+    }
+
+    /// The first byte waiting in `peer`'s receive buffer right now, if any.
+    fn on_the_wire(peer: &std::net::UdpSocket) -> Option<u8> {
+        peer.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 8];
+        let got = peer.recv_from(&mut buf).ok().map(|_| buf[0]);
+        peer.set_nonblocking(false).unwrap();
+        got
+    }
+
+    /// Block (bounded) for the next datagram's first byte.
+    fn next_datagram(peer: &std::net::UdpSocket) -> u8 {
+        peer.set_read_timeout(Some(WAIT)).unwrap();
+        let mut buf = [0u8; 8];
+        peer.recv_from(&mut buf).expect("a datagram arrives");
+        buf[0]
+    }
+
     #[test]
     fn spawn_of_unregistered_address_fails() {
-        struct Nop;
-        impl Node for Nop {
-            fn on_message(&mut self, _: Addr, _: &[u8], _: &mut dyn Context) {}
-            fn on_timer(&mut self, _: TimerId, _: u32, _: &mut dyn Context) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let Err(err) = try_spawn_node(Box::new(Nop), Addr::Config, AddressBook::new()) else {
+        let nop = Probe::boxed(|_, _| {});
+        let Err(err) = try_spawn_node(nop, Addr::Config, AddressBook::new()) else {
             panic!("spawning an unregistered address must fail");
         };
         assert!(
             matches!(err, RuntimeError::UnknownAddress(Addr::Config)),
             "{err}"
         );
+    }
+
+    #[test]
+    fn sustained_input_starves_neither_timers_nor_shutdown() {
+        let (dep, flood, node_at) = node_and_peer(46800);
+        // Flood from before the node exists (early datagrams bounce) until
+        // the verdict is in. Each datagram costs the node 50 us, far more
+        // than a send costs the flooder, so its socket never runs empty.
+        let flooding = Arc::new(AtomicBool::new(true));
+        let flooder = {
+            let flooding = flooding.clone();
+            std::thread::spawn(move || {
+                while flooding.load(Ordering::SeqCst) {
+                    let _ = flood.send_to(b"x", node_at);
+                }
+            })
+        };
+        let (fired_tx, fired_rx) = mpsc::channel();
+        let handled = Arc::new(AtomicUsize::new(0));
+        let counted = handled.clone();
+        let node = Probe::boxed(move |input, ctx| match input {
+            Input::Timer(neo_sim::sim::INIT_TIMER_KIND) => {
+                ctx.set_timer(20 * neo_sim::MILLIS, 7);
+            }
+            Input::Timer(_) => {
+                let _ = fired_tx.send(());
+            }
+            Input::Message(..) => {
+                counted.fetch_add(1, Ordering::Relaxed);
+                let t0 = Instant::now();
+                while t0.elapsed() < Duration::from_micros(50) {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        let handle = dep.spawn(node, dep.replica(0)).unwrap();
+        let fired = fired_rx.recv_timeout(WAIT).is_ok();
+        let (joined_tx, joined_rx) = mpsc::channel();
+        let joiner = std::thread::spawn(move || {
+            let _ = joined_tx.send(handle.try_shutdown().is_ok());
+        });
+        let joined = joined_rx.recv_timeout(WAIT);
+        flooding.store(false, Ordering::SeqCst);
+        flooder.join().unwrap();
+        joiner.join().unwrap();
+        assert!(
+            handled.load(Ordering::Relaxed) > RECV_BURST,
+            "the flood outlasted one receive burst"
+        );
+        assert!(fired, "a due timer fires while datagrams keep arriving");
+        assert_eq!(
+            joined,
+            Ok(true),
+            "try_shutdown returns while datagrams keep arriving"
+        );
+    }
+
+    #[test]
+    fn sends_of_a_dirty_store_wait_for_the_flush() {
+        let (dep, peer, node_at) = node_and_peer(46820);
+        let dirty = Arc::new(AtomicBool::new(false));
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel();
+        let appended = dirty.clone();
+        let node = Box::new(Probe {
+            // Every request appends to the WAL and is acknowledged.
+            handler: move |input: Input<'_>, ctx: &mut dyn Context| {
+                if let Input::Message(from, payload) = input {
+                    appended.store(true, Ordering::SeqCst);
+                    ctx.send(from, Payload::copy_from_slice(payload));
+                }
+            },
+            store: Some(GatedStore {
+                dirty,
+                entered: entered_tx,
+                gate: gate_rx,
+            }),
+        });
+        let handle = dep.spawn(node, dep.replica(0)).unwrap();
+        peer.send_to(b"q", node_at).unwrap();
+        entered_rx
+            .recv_timeout(WAIT)
+            .expect("the loop reaches flush");
+        // Loopback delivery is synchronous: had the acknowledgment been
+        // sent before the flush, it would be in the buffer now.
+        assert_eq!(on_the_wire(&peer), None, "acknowledged before the flush");
+        gate_tx.send(()).unwrap();
+        assert_eq!(next_datagram(&peer), b'q');
+        handle.try_shutdown().unwrap();
+    }
+
+    #[test]
+    fn sends_of_one_event_leave_before_the_next_handler_starts() {
+        let (dep, peer, node_at) = node_and_peer(46840);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        // Each handler announces its datagram, waits to be let through,
+        // then echoes it.
+        let node = Probe::boxed(move |input, ctx| {
+            if let Input::Message(from, payload) = input {
+                let _ = entered_tx.send(payload[0]);
+                let _ = gate_rx.recv();
+                ctx.send(from, Payload::copy_from_slice(payload));
+            }
+        });
+        let handle = dep.spawn(node, dep.replica(0)).unwrap();
+        peer.send_to(b"a", node_at).unwrap();
+        assert_eq!(entered_rx.recv_timeout(WAIT), Ok(b'a'));
+        // `b` is in the node's socket before `a`'s handler returns, so
+        // both belong to one loop turn.
+        peer.send_to(b"b", node_at).unwrap();
+        gate_tx.send(()).unwrap();
+        assert_eq!(entered_rx.recv_timeout(WAIT), Ok(b'b'));
+        assert_eq!(
+            on_the_wire(&peer),
+            Some(b'a'),
+            "event a's echo is held behind event b's handler"
+        );
+        gate_tx.send(()).unwrap();
+        assert_eq!(next_datagram(&peer), b'b');
+        handle.try_shutdown().unwrap();
     }
 }

@@ -128,7 +128,8 @@ fn run_verify_group(
         .with_verify_workers(verify_workers);
     // This test is about verify-lane equivalence, not failover: a node
     // off-CPU past the default 20 ms watchdog starts a sequencer failover,
-    // which over UDP can wedge the group and hang the shutdown below
+    // and over UDP the group can lose its progress to it — the run then
+    // ends at the deadline below with fewer commits than the serial one
     // (benchmark/README.md B3; EXPERIMENTS.md "Test status").
     cfg.unicast_watchdog_ns = 600 * neobft::sim::SECS;
     let dep = AddressBook::builder()
