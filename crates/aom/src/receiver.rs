@@ -759,7 +759,7 @@ impl AomReceiver {
         // neo-lint: allow(R5, seq bounded to SEQ_WINDOW at submit)
         let slot_confirms = self.confirms.entry(seq).or_default();
         // First valid confirm per sender wins, as at submit (two from
-        // one sender can both be in flight on the pool lane).
+        // one sender can both be in flight on the verify pool).
         slot_confirms.entry(job.sc.body.replica).or_insert(job.sc);
         self.drain();
         Ok(())

@@ -5,12 +5,14 @@
 //! conservative:
 //!
 //! 1. a same-file function with the callee's name — preferring one in
-//!    the same `impl` when the receiver starts with `self` — else
+//!    the same `impl` when the receiver starts with `self`, and, for an
+//!    `impl` split over the files of one crate, the one function of that
+//!    `impl` in a sibling file — else
 //! 2. a unique workspace-wide match.
 //!
 //! Ambiguous names resolve to the same-file candidate when exactly one
 //! exists, otherwise the edge is dropped (no guessing). The rules only
-//! traverse *same-file* edges (private helpers).
+//! traverse edges to a function's own helpers ([`CallGraph::helpers`]).
 
 use crate::parser::{Event, FileModel};
 use std::collections::BTreeMap;
@@ -92,6 +94,34 @@ impl CallGraph {
     pub fn callees(&self, caller: FnRef) -> impl Iterator<Item = &Edge> {
         self.edges.iter().filter(move |e| e.caller == caller)
     }
+
+    /// Edges out of `caller` into its own helpers: functions of the same
+    /// file, or of the same `impl` owner in another file of the same
+    /// crate (a type whose `impl` blocks are split by concern).
+    pub fn helpers<'a>(
+        &'a self,
+        files: &'a [FileModel],
+        caller: FnRef,
+    ) -> impl Iterator<Item = &'a Edge> {
+        let from = &files[caller.file];
+        let owner = from.functions[caller.func].owner.as_deref();
+        self.callees(caller).filter(move |e| {
+            let to = &files[e.callee.file];
+            e.callee.file == caller.file
+                || (owner.is_some()
+                    && to.functions[e.callee.func].owner.as_deref() == owner
+                    && crate_dir(&to.path) == crate_dir(&from.path))
+        })
+    }
+}
+
+/// The crate a file belongs to: its path up to `/src/`, or its directory
+/// when no `src` component is in it (lint fixtures).
+fn crate_dir(path: &str) -> &str {
+    match path.find("/src/") {
+        Some(i) => &path[..i],
+        None => path.rsplit_once('/').map_or("", |(dir, _)| dir),
+    }
 }
 
 /// Resolve one call to a function, or None when ambiguous/external.
@@ -112,10 +142,18 @@ fn resolve(
         // `self.name(..)`: prefer the caller's own impl.
         let owner = files[caller.file].functions[caller.func].owner.as_deref();
         if let Some(owner) = owner {
-            if let Some(hit) = same_file
+            let owned =
+                |r: &&FnRef| files[r.file].functions[r.func].owner.as_deref() == Some(owner);
+            if let Some(hit) = same_file.iter().find(owned) {
+                return Some(*hit);
+            }
+            // An `impl` split over several files of the crate.
+            let dir = crate_dir(&files[caller.file].path);
+            let mut siblings = candidates
                 .iter()
-                .find(|r| files[r.file].functions[r.func].owner.as_deref() == Some(owner))
-            {
+                .filter(owned)
+                .filter(|r| crate_dir(&files[r.file].path) == dir);
+            if let (Some(hit), None) = (siblings.next(), siblings.next()) {
                 return Some(*hit);
             }
         }
@@ -184,6 +222,45 @@ mod tests {
             name_of(&files, g.edges[0].callee),
             ("b.rs", "shared_helper")
         );
+    }
+
+    #[test]
+    fn a_split_impl_resolves_self_calls_to_its_own_sibling_file() {
+        // `helper` exists three times; `self.helper()` in `impl R` binds
+        // to the `impl R` one in the sibling file of the same crate —
+        // not to another type's, not to another crate's.
+        let files = models(&[
+            (
+                "crates/a/src/r.rs",
+                "impl R { fn on_msg(&mut self) { self.helper(); } }",
+            ),
+            (
+                "crates/a/src/r/state.rs",
+                "impl R { fn helper(&self) {} }\nimpl Other { fn helper(&self) {} }",
+            ),
+            ("crates/b/src/r.rs", "impl R { fn helper(&self) {} }"),
+        ]);
+        let g = CallGraph::build(&files);
+        assert_eq!(g.edges.len(), 1);
+        assert_eq!(g.edges[0].callee, FnRef { file: 1, func: 0 });
+        assert_eq!(g.helpers(&files, FnRef { file: 0, func: 0 }).count(), 1);
+    }
+
+    #[test]
+    fn helpers_stop_at_another_owner_or_crate() {
+        // Unique names resolve across files, but only a same-owner,
+        // same-crate callee is the caller's own helper.
+        let files = models(&[
+            (
+                "crates/a/src/r.rs",
+                "impl R { fn on_msg(&mut self) { self.x(); self.y(); } }",
+            ),
+            ("crates/a/src/s.rs", "impl S { fn x(&self) {} }"),
+            ("crates/b/src/r.rs", "impl R { fn y(&self) {} }"),
+        ]);
+        let g = CallGraph::build(&files);
+        assert_eq!(g.edges.len(), 2);
+        assert_eq!(g.helpers(&files, FnRef { file: 0, func: 0 }).count(), 0);
     }
 
     #[test]

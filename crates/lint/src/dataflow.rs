@@ -31,8 +31,8 @@
 //!    `NodeCrypto` handed to it, and batch APIs (`verify_batch`,
 //!    `verify_chain_links`) charge inside the façade.
 //! R8 interprocedural panic reach — R2's walk one call deeper:
-//!    `.unwrap()`/`.expect()`/panic macros inside a private same-file
-//!    helper called from a handler.
+//!    `.unwrap()`/`.expect()`/panic macros inside a helper called from a
+//!    handler.
 //! R9 static-metric-names — `metrics.incr(..)`/`add`/`observe`/
 //!    `set_gauge` called with a computed (non-literal) metric name.
 //!    Dynamic names mint unbounded time series — every scrape family
@@ -40,8 +40,9 @@
 //!
 //! Test functions are skipped by every rule. Known approximations (see
 //! DESIGN.md §10): domination is linear statement order, not
-//! path-sensitive; helper traversal is one level of same-file callees;
-//! aliased mutations through a local binding
+//! path-sensitive; helper traversal is one level, into callees of the
+//! same file or of the same `impl` owner in another file of the crate
+//! ([`CallGraph::helpers`]); aliased mutations through a local binding
 //! (`let g = self.gaps.entry(..)`) are not tracked.
 
 use crate::callgraph::{CallGraph, FnRef};
@@ -275,9 +276,6 @@ fn rule_r6(
 ) {
     for (fi, file) in files.iter().enumerate() {
         let universe = &universes[fi];
-        if universe.is_empty() {
-            continue;
-        }
         for (gi, f) in file.functions.iter().enumerate() {
             let Some(noun) = region_noun(f) else {
                 continue;
@@ -298,20 +296,19 @@ fn rule_r6(
                     ),
                 ));
             }
-            // One level of same-file callees: a write inside the helper
-            // is fine if the helper verifies internally OR this handler
-            // verified before the call.
+            // One level of helpers: a write inside the helper is fine if
+            // the helper verifies internally OR this handler verified
+            // before the call. A helper in another file writes the state
+            // declared there, so it is held to that file's universe.
             let entry_ref = FnRef { file: fi, func: gi };
             let verify_at = first_verify_idx(f);
-            for edge in graph.callees(entry_ref) {
-                if edge.callee.file != fi {
-                    continue;
-                }
-                let callee = &files[fi].functions[edge.callee.func];
+            for edge in graph.helpers(files, entry_ref) {
+                let callee = &files[edge.callee.file].functions[edge.callee.func];
                 if callee.is_test || callee.is_entry() || is_storage_entry(&callee.name) {
                     continue; // entries are analyzed standalone
                 }
                 let guarded = verify_at.map(|v| v < edge.event_idx).unwrap_or(false);
+                let universe = &universes[edge.callee.file];
                 for (field, wline) in unguarded_writes(callee, universe, guarded) {
                     out[fi].insert((
                         edge.line,
@@ -401,7 +398,7 @@ fn panic_call(ev: &Event) -> Option<String> {
 
 /// R2 no-panic-in-handlers and R8 interprocedural panic reach: one walk
 /// from every handler, over its own body (R2, which also bans indexing)
-/// and one call deep into its private same-file helpers (R8).
+/// and one call deep into its helpers (R8).
 fn rule_r2_r8(files: &[FileModel], graph: &CallGraph, out: &mut [FileFindings]) {
     // panic site (file, line) → (callee name, entry names reaching it)
     let mut sites: BTreeMap<(usize, u32), (String, BTreeSet<String>)> = BTreeMap::new();
@@ -429,18 +426,15 @@ fn rule_r2_r8(files: &[FileModel], graph: &CallGraph, out: &mut [FileFindings]) 
                 out[fi].insert((ev.line(), "R2", message));
             }
             let entry_ref = FnRef { file: fi, func: gi };
-            for edge in graph.callees(entry_ref) {
-                if edge.callee.file != fi {
-                    continue; // private same-file helpers only
-                }
-                let callee = &files[fi].functions[edge.callee.func];
+            for edge in graph.helpers(files, entry_ref) {
+                let callee = &files[edge.callee.file].functions[edge.callee.func];
                 if callee.is_test || callee.is_entry() {
                     continue;
                 }
                 for ev in callee.linear_events() {
                     if panic_call(ev).is_some() {
                         sites
-                            .entry((fi, ev.line()))
+                            .entry((edge.callee.file, ev.line()))
                             .or_insert_with(|| (callee.name.clone(), BTreeSet::new()))
                             .1
                             .insert(f.name.clone());

@@ -169,6 +169,33 @@ fn r8_fixture_has_exact_findings() {
 }
 
 #[test]
+fn split_owner_fixture_has_exact_findings() {
+    // Two files, one `impl`: the handlers in one, the state and the
+    // helpers in the other. Linted alone, each file is clean.
+    let f = fixture("split_owner");
+    assert_eq!(count(&f, "R6"), 1, "findings: {f:#?}");
+    assert_eq!(count(&f, "R8"), 1, "findings: {f:#?}");
+    assert_eq!(f.len(), 2, "no other rules should fire: {f:#?}");
+    // R6 sits at the call site and names the handler, the helper and
+    // the field of the other file's universe.
+    assert!(f.iter().any(|x| x.rule == "R6"
+        && x.file == "split_owner/handlers.rs"
+        && x.message.contains("`on_reply`")
+        && x.message.contains("apply_reply")
+        && x.message.contains("client_table")));
+    // R8 sits at the helper's panic site — `Replica`'s, not the
+    // same-named one of `Sequencer`.
+    assert!(f.iter().any(|x| x.rule == "R8"
+        && x.file == "split_owner/state.rs"
+        && x.line == 19
+        && x.message.contains("decode_strict")
+        && x.message.contains("on_raw")));
+    for half in ["split_owner/handlers.rs", "split_owner/state.rs"] {
+        assert!(fixture(half).is_empty(), "{half} alone must be clean");
+    }
+}
+
+#[test]
 fn r9_fixture_has_exact_findings() {
     let f = fixture("r9_metrics.rs");
     assert_eq!(count(&f, "R9"), 4, "findings: {f:#?}");

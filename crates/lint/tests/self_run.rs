@@ -1,7 +1,9 @@
 //! Workspace self-run: lint the real protocol crates and hold the
-//! result to zero findings, plus a ratchet that keeps `Vec<u8>` out of
+//! result to zero findings, plus ratchets: `Vec<u8>` stays out of
 //! `Context` send signatures now that payloads are shared
-//! `neo_wire::Payload` buffers.
+//! `neo_wire::Payload` buffers, and the replica stays split — no file of
+//! `neo-core` regrows past 900 lines, and executor timer ids stay inside
+//! the replica's timer table.
 
 use std::path::{Path, PathBuf};
 
@@ -71,4 +73,29 @@ fn context_send_signatures_take_payload_not_vec_u8() {
         violations.is_empty(),
         "`Vec<u8>` crept back into Context send signatures: {violations:#?}"
     );
+}
+
+#[test]
+fn the_replica_stays_split_and_timer_ids_stay_in_the_timer_table() {
+    // Ratchet for the `replica/` split: a file that regrows is one
+    // concern's state becoming reachable from another's handlers again,
+    // and a `TimerId` outside `timers.rs` is a back-pointer some handler
+    // must remember to clear (`Node::on_timer`, which receives the id
+    // from the executor, lives in `replica.rs`, outside the directory).
+    let src = workspace_root().join("crates/neobft/src");
+    let files = neo_lint::collect_rs_files(&src).expect("collect neo-core sources");
+    assert!(files.iter().any(|f| f.ends_with("replica/timers.rs")));
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("read source file");
+        let lines = text.lines().count();
+        assert!(lines <= 900, "{}: {lines} lines (> 900)", file.display());
+        let in_replica_dir = file.parent().is_some_and(|d| d.ends_with("replica"));
+        if in_replica_dir && !file.ends_with("timers.rs") {
+            assert!(
+                !text.contains("TimerId"),
+                "{}: `TimerId` outside the timer table",
+                file.display()
+            );
+        }
+    }
 }

@@ -19,9 +19,11 @@
 //!
 //! The crate also implements the full exceptional-case machinery:
 //!
-//! * [`replica`] — the replica state machine: speculative execution with
-//!   rollback, the client table (at-most-once), reply generation with the
-//!   O(1) hash-chained log hash;
+//! * [`replica`] — the replica: the shared core (log, view, timers) and
+//!   one child module per concern, each owning its state — ordering and
+//!   the verify stage, speculative execution with rollback and the
+//!   client table (at-most-once, replies with the O(1) hash-chained log
+//!   hash), and the four below;
 //! * gap agreement (§5.4) — `query`/`query-reply` recovery from the
 //!   leader, and the leader-driven binary consensus (`gap-find` /
 //!   `gap-recv` / `gap-drop` / `gap-decision` / `gap-prepare` /
@@ -30,6 +32,8 @@
 //!   failover with epoch certificates and log merging;
 //! * state synchronization (§B.2) — periodic sync-points that finalize
 //!   speculative execution and propagate gap certificates;
+//! * crash recovery — certified checkpoints, WAL replay and state
+//!   transfer ([`recovery`] has the durable types);
 //! * [`client`] — the windowed [`ClientDriver`]: ops are submitted (or
 //!   pulled from a workload), packed into batch envelopes — many ops,
 //!   one MAC vector, one aom slot — multicast, matched against the
@@ -37,10 +41,10 @@
 //!   unicast fallback path;
 //! * [`batch`] — the batching policy and the load-adaptive batch-size
 //!   controller (modeled on the FPGA signing-ratio controller);
-//! * [`verify`] — the verify stage: [`verify::VerifyLane`] routes
-//!   authenticator verification inline (simulator) or onto a real
-//!   [`neo_crypto::VerifyPool`] (tokio runtime), with completions
-//!   re-injected in dispatch order.
+//! * [`verify`] — the verify stage: authenticator verification runs
+//!   inline (simulator) or on a real [`neo_crypto::VerifyPool`] (tokio
+//!   runtime, `verify_workers > 0`), with completions re-injected in
+//!   dispatch order.
 
 pub mod batch;
 pub mod client;
@@ -62,4 +66,4 @@ pub use log::{Log, LogEntry};
 pub use messages::{BatchRequest, GapCert, NeoMsg, Reply, SignedBatch};
 pub use recovery::{CheckpointData, WalRecord, WireCheckpoint};
 pub use replica::{RecoveryPhase, Replica};
-pub use verify::{PoolVerifyTask, VerifyLane, VerifyWork};
+pub use verify::{PoolVerifyTask, VerifyWork};

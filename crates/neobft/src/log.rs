@@ -77,6 +77,16 @@ pub struct Log {
     chained: usize,
     /// Start slot of each epoch (epoch 0 starts at 0 implicitly).
     epoch_starts: Vec<(EpochNum, SlotNum)>,
+    /// What executing each slot left, indexed by *absolute* slot and
+    /// always exactly `len()` long ([`Self::resize_exec_records`]): ops
+    /// applied to the app (for rollback accounting; 0 = not executed /
+    /// no-op / pending) ...
+    executed_ops: Vec<u32>,
+    /// ... and a digest of (client, request id, result) for executed
+    /// request slots; `None` for no-ops, pending, rolled-back and
+    /// checkpointed slots. Two correct replicas that both executed slot
+    /// `s` must agree here.
+    exec_digests: Vec<Option<u64>>,
 }
 
 impl Log {
@@ -89,11 +99,13 @@ impl Log {
     /// gone, the chain continues from `base_hash` (the log hash at slot
     /// `base - 1`, as certified by the checkpoint).
     pub fn with_base(base: SlotNum, base_hash: Digest) -> Self {
-        Log {
+        let mut log = Log {
             base: base.0,
             base_hash,
             ..Log::default()
-        }
+        };
+        log.resize_exec_records();
+        log
     }
 
     /// First slot this log actually holds (0 unless restored from a
@@ -155,8 +167,7 @@ impl Log {
     /// Append a request certificate at the tail.
     pub fn append_request(&mut self, oc: OrderingCert) -> SlotNum {
         let slot = self.len();
-        self.slots
-            .push(Slot::Filled(LogEntry::Request(oc), Digest::ZERO));
+        self.push_slot(Slot::Filled(LogEntry::Request(oc), Digest::ZERO));
         self.advance_chain();
         slot
     }
@@ -164,7 +175,7 @@ impl Log {
     /// Append a pending slot (drop-notification delivered, fate unknown).
     pub fn append_pending(&mut self) -> SlotNum {
         let slot = self.len();
-        self.slots.push(Slot::Pending);
+        self.push_slot(Slot::Pending);
         slot
     }
 
@@ -178,7 +189,7 @@ impl Log {
             return Err(FillError::BeyondTail);
         }
         if rel == self.slots.len() {
-            self.slots.push(Slot::Pending);
+            self.push_slot(Slot::Pending);
         }
         self.slots[rel] = Slot::Filled(entry, Digest::ZERO);
         // An overwrite below the watermark invalidates the chain suffix.
@@ -301,8 +312,66 @@ impl Log {
     pub fn truncate(&mut self, len: SlotNum) {
         let rel = (len.0.max(self.base) - self.base) as usize;
         self.slots.truncate(rel);
+        self.resize_exec_records();
         self.chained = self.chained.min(rel);
         self.advance_chain();
+    }
+
+    fn push_slot(&mut self, slot: Slot) {
+        self.slots.push(slot);
+        self.resize_exec_records();
+    }
+
+    /// The one place the exec records change length — after a push, a
+    /// truncation or a rebase — so they grow, truncate and rebase with
+    /// the log.
+    fn resize_exec_records(&mut self) {
+        let len = self.len().index();
+        self.executed_ops.resize(len, 0);
+        self.exec_digests.resize(len, None);
+    }
+
+    /// Per-slot execution digests, indexed by absolute slot (`None` =
+    /// no-op / pending / undone / below the base).
+    pub fn exec_digests(&self) -> &[Option<u64>] {
+        &self.exec_digests
+    }
+
+    /// Record that `slot` executed `ops` operations with outcome
+    /// `digest`. Returns whether the slot was already marked executed —
+    /// executing twice without a rollback in between corrupts the
+    /// application state.
+    pub(crate) fn record_execution(&mut self, slot: SlotNum, ops: u32, digest: u64) -> bool {
+        let (Some(n), Some(d)) = (
+            self.executed_ops.get_mut(slot.index()),
+            self.exec_digests.get_mut(slot.index()),
+        ) else {
+            return false;
+        };
+        let again = *n > 0;
+        *n = ops;
+        *d = Some(digest);
+        again
+    }
+
+    /// Forget `slot`'s execution (it is being rolled back); returns how
+    /// many ops it had applied.
+    pub(crate) fn clear_execution(&mut self, slot: SlotNum) -> u32 {
+        if let Some(d) = self.exec_digests.get_mut(slot.index()) {
+            *d = None;
+        }
+        let ops = self.executed_ops.get_mut(slot.index());
+        ops.map_or(0, std::mem::take)
+    }
+
+    /// Ops executed at or after `slot` — the undo history the app must
+    /// keep once everything before `slot` is final.
+    pub(crate) fn executed_ops_from(&self, slot: SlotNum) -> u64 {
+        self.executed_ops
+            .iter()
+            .skip(slot.index())
+            .map(|n| *n as u64)
+            .sum()
     }
 }
 

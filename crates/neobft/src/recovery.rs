@@ -17,7 +17,7 @@
 //! `StateReply`). A far-behind replica with no disk state takes the same
 //! path with an empty starting point. Either way the recovery state
 //! machine runs `Recovering → FetchingCheckpoint → Replaying → Active`
-//! (tracked in `replica.rs`).
+//! (tracked in `replica/state_transfer.rs`).
 
 use crate::messages::{EpochCert, SyncBody, WireLogEntry};
 use neo_crypto::{sha256, Digest, Signature};

@@ -1,65 +1,26 @@
 //! The verify stage shared by both executors (DESIGN.md §16).
 //!
 //! Authenticator and signature verification is an explicit pipeline
-//! stage, not an inline call: the replica *dispatches* a
-//! [`PoolVerifyTask`] for every aom packet or confirm batch it receives
-//! and *completes* the verified job back into the [`neo_aom`] receiver
-//! in strict dispatch order. [`VerifyLane`] picks where the task runs:
+//! stage, not an inline call: the replica *dispatches* a [`VerifyWork`]
+//! unit for every aom packet or confirm batch it receives and
+//! *completes* the verified job back into the [`neo_aom`] receiver in
+//! strict dispatch order. Where the unit runs is read off the config
+//! once: with `verify_workers > 0` the replica owns a real
+//! [`neo_crypto::VerifyPool`] — units are submitted as
+//! [`PoolVerifyTask`]s and collected asynchronously by the tokio runtime
+//! through [`neo_sim::Node::on_async`] — otherwise they run inline on
+//! the dispatch path, charged to the meter's parallel lane when
+//! `pipeline_verify` is set (the simulator's model of a worker pool) and
+//! to its serial lane when not.
 //!
-//! * [`VerifyLane::Serial`] — inline on the dispatch path, costs charged
-//!   to the meter's serial lane (the pre-batching behaviour);
-//! * [`VerifyLane::SimParallel`] — inline, but charged to the meter's
-//!   parallel lane: the simulator's model of a worker pool
-//!   (`pipeline_verify` in [`crate::NeoConfig`]);
-//! * [`VerifyLane::Pool`] — a real [`VerifyPool`]: submitted on
-//!   dispatch, collected asynchronously by the tokio runtime through
-//!   [`neo_sim::Node::on_async`].
-//!
-//! One code path, two executors: the inline lanes run the *same*
-//! [`PoolVerifyTask::run`] and flow through the *same* reorder buffer as
-//! the pooled lane — only the thread that executes `run` differs.
+//! One code path, two executors: inline and pooled units run the *same*
+//! [`VerifyWork::verify`] and flow through the *same* reorder buffer —
+//! only the thread that executes it differs.
 
 use crate::messages::SignedBatch;
 use neo_aom::{ConfirmJob, VerifyJob};
-use neo_crypto::{NodeCrypto, Principal, Signature, VerifyPool, VerifyTask};
+use neo_crypto::{NodeCrypto, Principal, Signature, VerifyTask};
 use std::any::Any;
-use std::sync::Arc;
-
-/// Where a replica's authenticator verification runs.
-#[derive(Clone)]
-pub enum VerifyLane {
-    /// Inline on the dispatch core, serial-lane charges.
-    Serial,
-    /// Inline, parallel-lane charges — the simulator's pool model.
-    SimParallel,
-    /// A real worker pool (tokio runtime only; never the simulator).
-    Pool(Arc<VerifyPool>),
-}
-
-impl VerifyLane {
-    /// Whether verification costs charge the meter's parallel lane.
-    pub fn parallel(&self) -> bool {
-        !matches!(self, VerifyLane::Serial)
-    }
-
-    /// The worker pool, when this lane dispatches asynchronously.
-    pub fn pool(&self) -> Option<&Arc<VerifyPool>> {
-        match self {
-            VerifyLane::Pool(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Debug for VerifyLane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifyLane::Serial => f.write_str("Serial"),
-            VerifyLane::SimParallel => f.write_str("SimParallel"),
-            VerifyLane::Pool(p) => write!(f, "Pool({} workers)", p.workers()),
-        }
-    }
-}
 
 /// One unit of dispatched verification work. A whole confirm batch is
 /// one unit: it verifies through [`NodeCrypto::verify_batch`] under a
@@ -87,8 +48,8 @@ impl VerifyWork {
     }
 
     /// Run the unit's authenticator checks through `crypto`, recording
-    /// each verdict in its job. The inline lanes call this with the
-    /// replica's own façade (no clone); the pool lane calls it from
+    /// each verdict in its job. Inline dispatch calls this with the
+    /// replica's own façade (no clone); the pool calls it from
     /// [`PoolVerifyTask::run`] on a worker thread.
     pub fn verify(&mut self, crypto: &NodeCrypto, parallel: bool) {
         match self {
@@ -110,7 +71,7 @@ impl VerifyWork {
     }
 }
 
-/// The task shipped to the pool lane: the work plus a [`NodeCrypto`]
+/// The task shipped to the pool: the work plus a [`NodeCrypto`]
 /// clone (a refcount bump). Clones share the meter, so worker-side
 /// charges land on the owning node's meter exactly as inline charges
 /// would — the simulator's cost accounting and the pool see the same
@@ -121,7 +82,7 @@ pub struct PoolVerifyTask {
     /// Piggybacked client batch-MAC verdict for packet work: the pool
     /// pre-verifies the §5.3 request authenticator so `execute_slot`
     /// finds it ready, keyed by the packet's header digest. (Inline
-    /// lanes keep that check in `execute_slot`, so simulator charges
+    /// dispatch keeps that check in `execute_slot`, so simulator charges
     /// stay where they were.)
     pub request_auth: Option<([u8; 32], bool)>,
     crypto: NodeCrypto,
@@ -156,10 +117,9 @@ impl VerifyTask for PoolVerifyTask {
     }
 }
 
-/// Pre-verify my entry of the batch's client MAC vector, mirroring
-/// `Replica::verify_request_auth`: a missing tag or unencodable batch is
-/// a definitive `false`; a payload that is not a batch yields no verdict
-/// (execute_slot treats it as a no-op before any auth check).
+/// Pre-verify my entry of the batch's client MAC vector: a payload
+/// that is not a batch yields no verdict (execute_slot treats it as a
+/// no-op before any auth check).
 fn precheck_request_auth(
     digest: [u8; 32],
     payload: &[u8],
@@ -170,14 +130,24 @@ fn precheck_request_auth(
     if signed.batch.is_empty() {
         return None;
     }
+    Some((digest, request_auth_ok(&signed, crypto, my_index)))
+}
+
+/// The client-MAC check (§5.3): replica `my_index`'s entry of a batch's
+/// MAC vector. The vector is computed over the encoded
+/// [`crate::messages::BatchRequest`], so one tag covers every op in the
+/// envelope — tampering with any single op invalidates the whole batch.
+/// A missing tag or unencodable batch is a definitive `false`. Called
+/// from the pool's worker task and from the replica's inline check, so
+/// the two cannot drift.
+pub(crate) fn request_auth_ok(signed: &SignedBatch, crypto: &NodeCrypto, my_index: usize) -> bool {
     let Some(tag) = signed.auth.get(my_index) else {
-        return Some((digest, false));
+        return false;
     };
     let Ok(bytes) = neo_wire::encode(&signed.batch) else {
-        return Some((digest, false));
+        return false; // unencodable batch: drop, never panic
     };
-    let ok = crypto
+    crypto
         .verify_mac_from(Principal::Client(signed.batch.client), &bytes, tag)
-        .is_ok();
-    Some((digest, ok))
+        .is_ok()
 }

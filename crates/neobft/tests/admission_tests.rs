@@ -13,34 +13,13 @@ use neo_core::messages::{
 };
 use neo_core::{LogEntry, NeoConfig, NeoMsg, Replica};
 use neo_crypto::{CostModel, Digest, NodeCrypto, Principal, Signature, SystemKeys};
-use neo_sim::{Context, Node, TimerId};
+use neo_sim::{Node, RecordingContext};
 use neo_wire::{Addr, Payload, ReplicaId, SlotNum, ViewId};
 
 const F: usize = 2;
 const N: u32 = 3 * F as u32 + 1;
 const QUORUM: usize = 2 * F + 1;
 const COSTS: CostModel = CostModel::CALIBRATED;
-
-/// Inert context: timers are dummies, sends are kept for the caller.
-#[derive(Default)]
-struct Outbox(Vec<Payload>);
-
-impl Context for Outbox {
-    fn now(&self) -> u64 {
-        0
-    }
-    fn me(&self) -> Addr {
-        Addr::Replica(ReplicaId(1))
-    }
-    fn send_after(&mut self, _: Addr, payload: Payload, _: u64) {
-        self.0.push(payload);
-    }
-    fn set_timer(&mut self, _: u64, _: u32) -> TimerId {
-        TimerId(0)
-    }
-    fn cancel_timer(&mut self, _: TimerId) {}
-    fn charge(&mut self, _: u64) {}
-}
 
 fn keys() -> SystemKeys {
     SystemKeys::new(3, N as usize, 1)
@@ -62,7 +41,7 @@ fn signer(r: u32) -> NodeCrypto {
 /// Hand `msg` to the replica; returns the protocol messages it sent in
 /// response (one per destination).
 fn deliver(r: &mut Replica, from: u32, msg: NeoMsg) -> Vec<NeoMsg> {
-    let mut out = Outbox::default();
+    let mut out = RecordingContext::new(Addr::Replica(ReplicaId(1)));
     r.on_message(
         Addr::Replica(ReplicaId(from)),
         &msg.to_app_bytes(),
@@ -72,7 +51,7 @@ fn deliver(r: &mut Replica, from: u32, msg: NeoMsg) -> Vec<NeoMsg> {
         Ok(Envelope::App(bytes)) => NeoMsg::from_app_bytes(&bytes),
         _ => None,
     };
-    out.0.iter().filter_map(decode).collect()
+    out.sends.iter().filter_map(|(_, p)| decode(p)).collect()
 }
 
 /// Run a whole drop agreement for `slot` past the replica: the decision,

@@ -1,11 +1,21 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test code may panic freely
 
-//! Property-based tests of the replica log's hash-chain invariants.
+//! Randomized tests of the replica log's hash-chain invariants, as
+//! seeded loops on the in-tree `rand`: every case is a function of its
+//! number, so a failure names the case that reproduces it.
 
 use neo_aom::{AomPacket, OrderingCert};
 use neo_core::{Log, LogEntry};
 use neo_wire::{AomHeader, GroupId, SeqNum, SlotNum};
-use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+
+/// Cases per property.
+const CASES: u64 = 256;
+
+fn case_rng(property: u64, case: u64) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(property << 32 | case)
+}
 
 fn oc(seq: u64, payload: u8) -> OrderingCert {
     let mut header = AomHeader::unstamped(GroupId(0), neo_crypto::sha256(&[payload]).0);
@@ -27,18 +37,28 @@ enum Step {
     AppendPending,
     /// Resolve the oldest pending slot (if any) as a request / no-op.
     ResolveOldest(bool, u8),
+    /// Cut the held slots down to this share (in 256ths) of them.
+    Truncate(u8),
+    /// Adopt a checkpoint at the resolved prefix: a fresh log
+    /// `with_base` there, seeded with the chain hash.
+    Rebase,
 }
 
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        any::<u8>().prop_map(Step::AppendRequest),
-        Just(Step::AppendPending),
-        (any::<bool>(), any::<u8>()).prop_map(|(r, p)| Step::ResolveOldest(r, p)),
-    ]
+fn random_steps(rng: &mut ChaCha8Rng) -> Vec<Step> {
+    let n = rng.gen_range(0..60);
+    (0..n)
+        .map(|_| match rng.gen_range(0..12) {
+            0..=4 => Step::AppendRequest(rng.gen()),
+            5..=6 => Step::AppendPending,
+            7..=9 => Step::ResolveOldest(rng.gen(), rng.gen()),
+            10 => Step::Truncate(rng.gen()),
+            _ => Step::Rebase,
+        })
+        .collect()
 }
 
-/// Apply steps; return the final log and the linear entry history that a
-/// straight-line log would contain.
+/// Apply steps to an empty log. After every step the exec records are
+/// exactly as long as the log.
 fn build(steps: &[Step]) -> Log {
     let mut log = Log::new();
     let mut seq = 1u64;
@@ -62,38 +82,60 @@ fn build(steps: &[Step]) -> Log {
                     log.fill(slot, entry).unwrap();
                 }
             }
+            Step::Truncate(share) => {
+                let held = log.len().0 - log.base().0;
+                log.truncate(SlotNum(log.base().0 + held * *share as u64 / 256));
+            }
+            Step::Rebase => {
+                let prefix = log.resolved_prefix_len();
+                if prefix.0 > 0 {
+                    let seed = log.hash_at(SlotNum(prefix.0 - 1)).unwrap();
+                    log = Log::with_base(prefix, seed);
+                }
+            }
         }
+        assert_eq!(
+            log.exec_digests().len() as u64,
+            log.len().0,
+            "exec records out of step with the log after {step:?} of {steps:?}"
+        );
     }
     log
 }
 
-proptest! {
-    /// Hashes exist exactly for the resolved prefix, and the watermark
-    /// equals the first pending slot (or the tail).
-    #[test]
-    fn watermark_matches_first_pending(steps in proptest::collection::vec(arb_step(), 0..60)) {
+/// Hashes exist exactly for the resolved prefix the log still holds (and
+/// for the slot just below a base), and the watermark equals the first
+/// pending slot (or the tail).
+#[test]
+fn watermark_matches_first_pending() {
+    for case in 0..CASES {
+        let steps = random_steps(&mut case_rng(1, case));
         let log = build(&steps);
         let prefix = log.resolved_prefix_len();
         match log.first_pending() {
-            Some(p) => prop_assert_eq!(prefix, p),
-            None => prop_assert_eq!(prefix, log.len()),
+            Some(p) => assert_eq!(prefix, p, "case {case}: {steps:?}"),
+            None => assert_eq!(prefix, log.len(), "case {case}: {steps:?}"),
         }
         for i in 0..log.len().0 {
             let slot = SlotNum(i);
-            if i < prefix.0 {
-                prop_assert!(log.hash_at(slot).is_some());
-                prop_assert!(log.entry(slot).is_some());
-            } else {
-                prop_assert!(log.hash_at(slot).is_none());
-            }
+            let hashed = log.hash_at(slot).is_some();
+            let held = log.entry(slot).is_some();
+            let expect_hash = i + 1 >= log.base().0 && i < prefix.0;
+            let expect_entry = i >= log.base().0 && i < prefix.0;
+            assert_eq!(hashed, expect_hash, "case {case}, slot {i}: {steps:?}");
+            assert!(held || !expect_entry, "case {case}, slot {i}: {steps:?}");
         }
     }
+}
 
-    /// Two logs whose resolved prefixes contain identical entries have
-    /// identical hashes there — regardless of how the entries arrived
-    /// (straight appends vs. gaps resolved later).
-    #[test]
-    fn hash_depends_only_on_content(entries in proptest::collection::vec(any::<u8>(), 1..30)) {
+/// Two logs whose resolved prefixes contain identical entries have
+/// identical hashes there — regardless of how the entries arrived
+/// (straight appends vs. gaps resolved later).
+#[test]
+fn hash_depends_only_on_content() {
+    for case in 0..CASES {
+        let mut rng = case_rng(2, case);
+        let entries: Vec<u8> = (0..rng.gen_range(1..30)).map(|_| rng.gen()).collect();
         // Log A: straight-line appends.
         let mut a = Log::new();
         for (i, p) in entries.iter().enumerate() {
@@ -105,38 +147,52 @@ proptest! {
             b.append_pending();
         }
         for (i, p) in entries.iter().enumerate().rev() {
-            b.fill(SlotNum(i as u64), LogEntry::Request(oc(i as u64 + 1, *p))).unwrap();
+            b.fill(SlotNum(i as u64), LogEntry::Request(oc(i as u64 + 1, *p)))
+                .unwrap();
         }
-        prop_assert_eq!(a.len(), b.len());
+        assert_eq!(a.len(), b.len());
         for i in 0..entries.len() as u64 {
-            prop_assert_eq!(a.hash_at(SlotNum(i)), b.hash_at(SlotNum(i)));
+            assert_eq!(
+                a.hash_at(SlotNum(i)),
+                b.hash_at(SlotNum(i)),
+                "case {case}, slot {i}: {entries:?}"
+            );
         }
     }
+}
 
-    /// Truncation is exact: the prefix keeps its hashes, the tail is gone.
-    #[test]
-    fn truncate_preserves_prefix(
-        entries in proptest::collection::vec(any::<u8>(), 1..30),
-        cut in any::<proptest::sample::Index>(),
-    ) {
+/// Truncation is exact: the prefix keeps its hashes, the tail is gone.
+#[test]
+fn truncate_preserves_prefix() {
+    for case in 0..CASES {
+        let mut rng = case_rng(3, case);
+        let entries: Vec<u8> = (0..rng.gen_range(1..30)).map(|_| rng.gen()).collect();
         let mut log = Log::new();
         for (i, p) in entries.iter().enumerate() {
             log.append_request(oc(i as u64 + 1, *p));
         }
-        let cut = SlotNum(cut.index(entries.len()) as u64);
+        let cut = SlotNum(rng.gen_range(0..entries.len() as u64));
         let expect: Vec<_> = (0..cut.0).map(|i| log.hash_at(SlotNum(i))).collect();
         log.truncate(cut);
-        prop_assert_eq!(log.len(), cut);
+        assert_eq!(log.len(), cut, "case {case}");
+        assert_eq!(log.exec_digests().len() as u64, cut.0, "case {case}");
         for i in 0..cut.0 {
-            prop_assert_eq!(log.hash_at(SlotNum(i)), expect[i as usize]);
+            assert_eq!(log.hash_at(SlotNum(i)), expect[i as usize], "case {case}");
         }
     }
+}
 
-    /// Wire form always equals the resolved prefix.
-    #[test]
-    fn wire_form_is_the_resolved_prefix(steps in proptest::collection::vec(arb_step(), 0..60)) {
+/// Wire form always equals the resolved prefix the log holds.
+#[test]
+fn wire_form_is_the_resolved_prefix() {
+    for case in 0..CASES {
+        let steps = random_steps(&mut case_rng(4, case));
         let log = build(&steps);
         let wire = log.to_wire();
-        prop_assert_eq!(wire.len() as u64, log.resolved_prefix_len().0);
+        assert_eq!(
+            wire.len() as u64,
+            log.resolved_prefix_len().0 - log.base().0,
+            "case {case}: {steps:?}"
+        );
     }
 }

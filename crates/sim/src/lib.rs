@@ -42,7 +42,7 @@ pub use byz::{ByzStats, ByzStrategy, ByzantineNode};
 pub use cpu::CpuConfig;
 pub use fault::{FaultPlan, FaultRule, PacketFate, FOREVER};
 pub use net::NetConfig;
-pub use node::{Context, Node, TimerId};
+pub use node::{Context, Node, RecordingContext, TimerId};
 pub use obs::{
     render_prometheus, Event, EventKind, EventRecord, FlightDump, HealthReport, Metrics,
     MetricsSnapshot, NodeFlight, NodeHealth, ObsConfig, ObsStreamLine, PacketRecord,

@@ -82,6 +82,60 @@ pub trait Context {
     }
 }
 
+/// A [`Context`] that only records, for driving one node by hand in a
+/// test — no simulator, no clock: sends, timers set and timers cancelled
+/// are kept in call order, and `now` is whatever the test sets it to.
+/// Every timer gets an id of its own, distinct across all recordings of
+/// the process, so a test may hand a node a fresh recording per event.
+#[derive(Debug)]
+pub struct RecordingContext {
+    /// What [`Context::now`] returns.
+    pub now: crate::time::Time,
+    /// What [`Context::me`] returns.
+    pub me: Addr,
+    /// Every send: destination and payload (the extra delay is dropped).
+    pub sends: Vec<(Addr, Payload)>,
+    /// Every timer armed: the id it was given, its delay and its kind.
+    pub timers_set: Vec<(TimerId, crate::time::Duration, u32)>,
+    /// Every timer cancelled.
+    pub timers_cancelled: Vec<TimerId>,
+}
+
+impl RecordingContext {
+    /// An empty recording at time zero for the node registered as `me`.
+    pub fn new(me: Addr) -> Self {
+        RecordingContext {
+            now: 0,
+            me,
+            sends: Vec::new(),
+            timers_set: Vec::new(),
+            timers_cancelled: Vec::new(),
+        }
+    }
+}
+
+impl Context for RecordingContext {
+    fn now(&self) -> crate::time::Time {
+        self.now
+    }
+    fn me(&self) -> Addr {
+        self.me
+    }
+    fn send_after(&mut self, to: Addr, payload: Payload, _: crate::time::Duration) {
+        self.sends.push((to, payload));
+    }
+    fn set_timer(&mut self, delay: crate::time::Duration, kind: u32) -> TimerId {
+        static NEXT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+        let id = TimerId(NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed));
+        self.timers_set.push((id, delay, kind));
+        id
+    }
+    fn cancel_timer(&mut self, timer: TimerId) {
+        self.timers_cancelled.push(timer);
+    }
+    fn charge(&mut self, _: u64) {}
+}
+
 /// A protocol state machine.
 ///
 /// `Send` so the same node can be moved onto a dedicated thread by the
