@@ -13,7 +13,9 @@
 //!    prefix both have finalized (compared by the hash-chained log hash,
 //!    so one comparison covers every slot below the point).
 //! 2. **Monotone delivery** — each replica's aom layer hands the protocol
-//!    a dense, strictly increasing `(epoch, seq)` stream.
+//!    a dense, strictly increasing `(epoch, seq)` stream (one that
+//!    continues from wherever the receiver was moved to when a
+//!    checkpoint, the WAL or a peer supplied the slots in between).
 //! 3. **Execution agreement** — two replicas that both executed the same
 //!    finalized slot produced the same `(client, request, result)`.
 //! 4. **Sync ≤ commit** — no replica's sync point (§B.2) runs ahead of
@@ -52,14 +54,14 @@ pub enum Violation {
         /// `b`'s log hash at the last common slot.
         hash_b: Digest,
     },
-    /// A replica's aom delivery trace skipped or repeated a sequence
+    /// A replica's aom deliveries skipped or repeated a sequence
     /// number.
     NonMonotoneDelivery {
         /// Replica id.
         replica: u32,
-        /// Index into the trace where the step is broken.
+        /// Which delivery (counting from 0) broke the order.
         index: usize,
-        /// Trace entry before the break, as `(epoch, seq)`.
+        /// The delivery before the break, as `(epoch, seq)`.
         prev: (u64, u64),
         /// The offending next entry.
         next: (u64, u64),
@@ -269,24 +271,16 @@ fn check_prefix_agreement(replicas: &[&Replica], out: &mut Vec<Violation>) {
 }
 
 fn check_monotone_delivery(replicas: &[&Replica], out: &mut Vec<Violation>) {
+    // The replica checks each delivery against the one before it as it
+    // is made; one break per replica is enough to debug.
     for r in replicas {
-        if r.delivery_trace_saturated() {
-            continue; // capped trace: a gap here could be the cap itself
-        }
-        let trace = r.delivery_trace();
-        for (i, pair) in trace.windows(2).enumerate() {
-            let (pe, ps) = pair[0];
-            let (ne, ns) = pair[1];
-            let ok = ne > pe || (ne == pe && ns == ps + 1);
-            if !ok {
-                out.push(Violation::NonMonotoneDelivery {
-                    replica: r.id().0,
-                    index: i + 1,
-                    prev: (pe, ps),
-                    next: (ne, ns),
-                });
-                break; // one break per replica is enough to debug
-            }
+        if let Some(broken) = r.delivery_break() {
+            out.push(Violation::NonMonotoneDelivery {
+                replica: r.id().0,
+                index: broken.index,
+                prev: broken.prev,
+                next: broken.next,
+            });
         }
     }
 }

@@ -10,6 +10,7 @@ use neo_aom::OrderingCert;
 use neo_crypto::{chain, Digest};
 use neo_wire::{EpochNum, SlotNum};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// One resolved log entry.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
@@ -56,20 +57,23 @@ enum Slot {
 
 /// The log.
 ///
-/// A log may start at a non-zero **base**: slots below the base were
-/// finalized by a certified checkpoint and compacted away; the chain
-/// hash at `base - 1` is retained so the hash chain (and therefore
-/// prefix comparison) stays seamless across the compaction point. Slot
-/// numbers everywhere in the API remain absolute.
+/// A log starts at a **base**: slots below it were finalized by a
+/// certified checkpoint and let go of ([`Log::rebase`]) — every replica
+/// does that as it runs, one slot window below its stable checkpoint
+/// (DESIGN.md §17). The chain hash at `base - 1` is retained so the hash
+/// chain (and therefore prefix comparison) stays seamless across the
+/// cut. Slot numbers everywhere in the API remain absolute.
 #[derive(Clone, Debug, Default)]
 pub struct Log {
-    /// First slot actually held; everything below came from a certified
-    /// checkpoint. Zero for logs that grew from genesis.
+    /// First slot actually held; everything below is covered by a
+    /// certified checkpoint. Zero until the first cut.
     base: u64,
     /// Chain hash at `base - 1` (meaningless when `base == 0`): the seed
     /// the chain continues from.
     base_hash: Digest,
-    slots: Vec<Slot>,
+    /// The held slots, oldest first. A ring: a cut drops from the front
+    /// at a cost in proportion to what it drops, not to what stays.
+    slots: VecDeque<Slot>,
     /// Chain watermark, *relative to `base`*: hashes are valid for
     /// relative slots `< chained`; every slot below it is filled.
     /// Entries appended past a pending slot get their hash once the gap
@@ -99,17 +103,14 @@ impl Log {
     /// gone, the chain continues from `base_hash` (the log hash at slot
     /// `base - 1`, as certified by the checkpoint).
     pub fn with_base(base: SlotNum, base_hash: Digest) -> Self {
-        let mut log = Log {
-            base: base.0,
-            base_hash,
-            ..Log::default()
-        };
-        log.resize_exec_records();
+        let mut log = Log::new();
+        log.rebase(base, base_hash);
         log
     }
 
-    /// First slot this log actually holds (0 unless restored from a
-    /// checkpoint).
+    /// First slot this log actually holds: 0 until a certified
+    /// checkpoint lets it cut ([`Log::rebase`]), on a live replica as on
+    /// a restarted one.
     pub fn base(&self) -> SlotNum {
         SlotNum(self.base)
     }
@@ -317,8 +318,35 @@ impl Log {
         self.advance_chain();
     }
 
+    /// Rebase the held log to `slot`, in place: every slot below it is
+    /// dropped, the base becomes `slot` and the chain continues from
+    /// `hash_below`, the certified chain hash at `slot - 1`. Everything
+    /// at or above `slot` — filled or pending — stays where it is, and
+    /// so do the exec records (absolute-indexed, full-length). Where
+    /// `hash_below` is this log's own hash there (a cut below the stable
+    /// checkpoint) the hashes above keep their values; otherwise (a
+    /// checkpoint adopted over a hole, or past the tail, which leaves an
+    /// empty log at `slot`) the kept suffix is chained again from the new
+    /// seed. A `slot` at or below the base changes nothing. Returns how
+    /// many held slots were dropped; the cost is in proportion to that.
+    pub fn rebase(&mut self, slot: SlotNum, hash_below: Digest) -> u64 {
+        let Some(cut) = self.rel(slot).filter(|cut| *cut > 0) else {
+            return 0;
+        };
+        let seamless = self.hash_at(SlotNum(slot.0 - 1)) == Some(hash_below);
+        let dropped = cut.min(self.slots.len());
+        self.slots.drain(..dropped);
+        self.base = slot.0;
+        self.base_hash = hash_below;
+        // Seamless means `slot - 1` was under the watermark: cut <= chained.
+        self.chained = if seamless { self.chained - cut } else { 0 };
+        self.resize_exec_records();
+        self.advance_chain();
+        dropped as u64
+    }
+
     fn push_slot(&mut self, slot: Slot) {
-        self.slots.push(slot);
+        self.slots.push_back(slot);
         self.resize_exec_records();
     }
 
@@ -572,6 +600,104 @@ mod tests {
         log.truncate(SlotNum(0));
         assert_eq!(log.len(), SlotNum(3));
         assert_eq!(log.resolved_prefix_len(), SlotNum(3));
+    }
+
+    #[test]
+    fn rebase_drops_the_prefix_and_nothing_else() {
+        // Slots 0..=5, slot 4 still pending; two slots executed.
+        let mut log = Log::new();
+        for seq in 1..=4 {
+            log.append_request(oc(seq, &[seq as u8]));
+        }
+        log.append_pending();
+        log.append_request(oc(6, b"f"));
+        log.record_execution(SlotNum(0), 1, 10);
+        log.record_execution(SlotNum(3), 1, 13);
+        let hashes: Vec<_> = (0..4).map(|s| log.hash_at(SlotNum(s)).unwrap()).collect();
+
+        // A cut at its own hash: base and seed move, the rest stays put.
+        assert_eq!(log.rebase(SlotNum(2), hashes[1]), 2);
+        assert_eq!((log.base(), log.len()), (SlotNum(2), SlotNum(6)));
+        assert_eq!(log.resolved_prefix_len(), SlotNum(4));
+        assert_eq!(log.hash_at(SlotNum(0)), None, "let go of");
+        assert_eq!(log.entry(SlotNum(1)), None, "let go of");
+        for s in 1..4 {
+            assert_eq!(log.hash_at(SlotNum(s)), Some(hashes[s as usize]));
+        }
+        assert!(log.is_pending(SlotNum(4)));
+        assert!(log.entry(SlotNum(5)).is_some());
+        // Exec records stay absolute-indexed and full-length.
+        assert_eq!(log.exec_digests().len(), 6);
+        assert_eq!(log.exec_digests()[0], Some(10));
+        assert_eq!(log.exec_digests()[3], Some(13));
+        // At or below the base: nothing to do.
+        assert_eq!(log.rebase(SlotNum(2), Digest::ZERO), 0);
+        assert_eq!(log.rebase(SlotNum(1), Digest::ZERO), 0);
+        assert_eq!(log.hash_at(SlotNum(1)), Some(hashes[1]));
+
+        // The gap resolves: the chain continues as if never cut.
+        let mut reference = Log::new();
+        for seq in 1..=6 {
+            reference.append_request(oc(seq, &[seq as u8]));
+        }
+        log.fill(SlotNum(4), LogEntry::Request(oc(5, &[5])))
+            .unwrap();
+        log.fill(SlotNum(5), LogEntry::Request(oc(6, &[6])))
+            .unwrap();
+        assert_eq!(log.hash_at(SlotNum(5)), reference.hash_at(SlotNum(5)));
+    }
+
+    #[test]
+    fn exec_records_survive_any_cut() {
+        use rand::{Rng, SeedableRng};
+        for case in 0..64u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(case);
+            let mut log = Log::new();
+            let n = rng.gen_range(1..40u64);
+            for seq in 1..=n {
+                let slot = log.append_request(oc(seq, &[seq as u8]));
+                if rng.gen() {
+                    log.record_execution(slot, rng.gen_range(1..4), rng.gen());
+                }
+            }
+            let before = (log.exec_digests().to_vec(), log.executed_ops.clone());
+            let cut = SlotNum(rng.gen_range(1..=n));
+            log.rebase(cut, log.hash_at(SlotNum(cut.0 - 1)).unwrap());
+            let after = (log.exec_digests().to_vec(), log.executed_ops.clone());
+            assert_eq!(before, after, "case {case}: cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn rebase_over_a_hole_or_past_the_tail_rechains_from_the_new_seed() {
+        // A checkpoint at slot 3 adopted by a log stuck on pending slot
+        // 1: the kept entries chain from the checkpoint's hash.
+        let mut reference = Log::new();
+        for seq in 1..=5 {
+            reference.append_request(oc(seq, &[seq as u8]));
+        }
+        let seed = reference.hash_at(SlotNum(2)).unwrap();
+        let mut log = Log::new();
+        log.append_request(oc(1, &[1]));
+        log.append_pending();
+        for seq in 3..=5 {
+            log.append_request(oc(seq, &[seq as u8]));
+        }
+        assert_eq!(log.hash_at(SlotNum(4)), None, "blocked behind the gap");
+        assert_eq!(log.rebase(SlotNum(3), seed), 3);
+        assert_eq!(log.first_pending(), None);
+        assert_eq!(log.resolved_prefix_len(), SlotNum(5));
+        assert_eq!(log.hash_at(SlotNum(2)), Some(seed));
+        assert_eq!(log.hash_at(SlotNum(4)), reference.hash_at(SlotNum(4)));
+
+        // Past the tail: an empty log at the slot, as `with_base` builds.
+        assert_eq!(log.rebase(SlotNum(9), seed), 2);
+        assert_eq!((log.base(), log.len()), (SlotNum(9), SlotNum(9)));
+        assert_eq!(log.exec_digests().len(), 9);
+        assert_eq!(log.append_request(oc(10, b"j")), SlotNum(9));
+        let mut based = Log::with_base(SlotNum(9), seed);
+        based.append_request(oc(10, b"j"));
+        assert_eq!(log.hash_at(SlotNum(9)), based.hash_at(SlotNum(9)));
     }
 
     #[test]

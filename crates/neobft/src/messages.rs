@@ -230,7 +230,8 @@ pub struct SyncBody {
     /// state: chain hash, app snapshot, client table — see
     /// `recovery::CheckpointData`). `Digest::ZERO` when the sender makes
     /// no checkpoint claim (snapshot-less app); 2f+1 matching non-zero
-    /// digests certify the checkpoint for crash recovery.
+    /// digests certify the checkpoint — what the log is trimmed below,
+    /// laggards are served, and a restart resumes from.
     pub state_digest: Digest,
 }
 
@@ -241,9 +242,10 @@ pub struct SyncBody {
 pub struct StateQueryBody {
     /// The recovering replica.
     pub replica: ReplicaId,
-    /// Everything below this slot is already held locally; peers send a
-    /// checkpoint only if theirs is newer, plus the log suffix from
-    /// `max(have, checkpoint slot)`.
+    /// The asker's resolved prefix: every slot below this one is held
+    /// locally and resolved (a slot still pending below the tail is as
+    /// missing as one past it). Peers send a checkpoint only if theirs
+    /// is newer, plus the log suffix from `max(have, checkpoint slot)`.
     pub have: SlotNum,
 }
 
@@ -324,8 +326,10 @@ pub enum NeoMsg {
     /// Recovering replica → all: request a certified checkpoint and log
     /// suffix. Signed.
     StateQuery(StateQueryBody, Signature),
-    /// Replica → recovering replica: checkpoint + suffix. Unsigned — the
-    /// checkpoint certificate and the per-entry ordering/gap
+    /// Replica → recovering replica: checkpoint + suffix. Also, with an
+    /// empty suffix, replica → a live peer that named a slot the sender
+    /// has let go of: the stable checkpoint that covers it. Unsigned —
+    /// the checkpoint certificate and the per-entry ordering/gap
     /// certificates authenticate themselves.
     StateReply {
         /// A certified checkpoint newer than the asker's `have`, if the

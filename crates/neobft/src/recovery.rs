@@ -10,7 +10,10 @@
 //!   payloads.
 //! * **The checkpoint** — a [`CheckpointData`] snapshot of everything a
 //!   replica needs to resume from a sync-point (§B.2), certified by the
-//!   2f+1 sync votes that carried its digest ([`WireCheckpoint`]).
+//!   2f+1 sync votes that carried its digest ([`WireCheckpoint`]). Every
+//!   replica certifies one per sync interval, store or not: it is also
+//!   what the in-memory log is trimmed below and what a live laggard is
+//!   served (DESIGN.md §17); a store persists it.
 //!
 //! A restarting replica loads its checkpoint, replays the WAL suffix,
 //! and then asks peers for anything newer (`NeoMsg::StateQuery` /
@@ -19,7 +22,9 @@
 //! machine runs `Recovering → FetchingCheckpoint → Replaying → Active`
 //! (tracked in `replica/state_transfer.rs`).
 
-use crate::messages::{EpochCert, SyncBody, WireLogEntry};
+use crate::log::LogEntry;
+use crate::messages::{EpochCert, GapVoteBody, SyncBody, WireLogEntry};
+use neo_aom::OrderingCert;
 use neo_crypto::{sha256, Digest, Signature};
 use neo_wire::{encode, ClientId, EpochNum, RequestId, SlotNum};
 use serde::{Deserialize, Serialize};
@@ -50,12 +55,40 @@ pub enum WalRecord {
     },
 }
 
+/// [`WalRecord::Slot`] over a borrowed log entry: the same variant
+/// order and field order, so the same bytes, without first copying the
+/// entry's certificate into a [`WireLogEntry`].
+#[derive(Serialize)]
+enum SlotRecordRef<'a> {
+    Slot {
+        slot: SlotNum,
+        entry: WireLogEntryRef<'a>,
+    },
+}
+
+/// [`WireLogEntry`], borrowed.
+#[derive(Serialize)]
+enum WireLogEntryRef<'a> {
+    Request(&'a OrderingCert),
+    NoOp(&'a [(GapVoteBody, Signature)]),
+}
+
 impl WalRecord {
     /// Encode for appending to the store. Falls back to an empty record
     /// (healed away as torn tail on replay) if encoding fails — our own
     /// wire types do not fail to encode in practice.
     pub fn to_bytes(&self) -> Vec<u8> {
         encode(self).unwrap_or_default()
+    }
+
+    /// The bytes of `WalRecord::Slot { slot, entry: entry.to_wire() }`,
+    /// encoded straight from the log's own entry.
+    pub(crate) fn slot_bytes(slot: SlotNum, entry: &LogEntry) -> Vec<u8> {
+        let entry = match entry {
+            LogEntry::Request(oc) => WireLogEntryRef::Request(oc),
+            LogEntry::NoOp(cert) => WireLogEntryRef::NoOp(cert.as_deref().unwrap_or_default()),
+        };
+        encode(&SlotRecordRef::Slot { slot, entry }).unwrap_or_default()
     }
 
     /// Decode a record read back from the store.
@@ -171,6 +204,39 @@ mod tests {
         };
         assert_eq!(WalRecord::from_bytes(&rec.to_bytes()), Some(rec));
         assert_eq!(WalRecord::from_bytes(&[0xFF; 3]), None);
+    }
+
+    #[test]
+    fn borrowed_slot_records_are_the_owned_bytes() {
+        use neo_aom::AomPacket;
+        use neo_wire::{AomHeader, GroupId, ReplicaId, SeqNum, ViewId};
+        let mut header = AomHeader::unstamped(GroupId(0), sha256(b"p").0);
+        header.seq = SeqNum(9);
+        header.auth = neo_wire::Authenticator::HmacVector(vec![[7u8; 8]; 4]);
+        let oc = OrderingCert {
+            packet: AomPacket {
+                header,
+                payload: b"payload".to_vec(),
+            },
+            confirms: vec![],
+        };
+        let vote = GapVoteBody {
+            view: ViewId::INITIAL,
+            replica: ReplicaId(2),
+            slot: SlotNum(8),
+            recv: false,
+        };
+        for entry in [
+            LogEntry::Request(oc),
+            LogEntry::NoOp(None),
+            LogEntry::NoOp(Some(vec![(vote, Signature::empty())])),
+        ] {
+            let owned = WalRecord::Slot {
+                slot: SlotNum(8),
+                entry: entry.to_wire(),
+            };
+            assert_eq!(WalRecord::slot_bytes(SlotNum(8), &entry), owned.to_bytes());
+        }
     }
 
     #[test]

@@ -85,6 +85,13 @@ pub struct ReplicaStats {
     pub checkpoints_certified: u64,
     /// State-transfer replies served to recovering peers.
     pub state_replies_served: u64,
+    /// Log slots let go of below a certified checkpoint.
+    pub slots_trimmed: u64,
+    /// Stable checkpoints sent to a peer that named a trimmed slot.
+    pub checkpoints_offered: u64,
+    /// Checkpoints adopted in place by this replica while it was live
+    /// and stuck below them (not during crash recovery).
+    pub checkpoints_adopted_live: u64,
 }
 
 /// Protocol status.
@@ -120,6 +127,7 @@ pub struct Replica {
     sync: sync::StateSync,
     vc: view::ViewChangeState,
     recovery: Option<state_transfer::RecoveryState>,
+    offers: state_transfer::Offers,
     /// Fault behaviour.
     pub behavior: ReplicaBehavior,
     /// Counters.
@@ -167,6 +175,7 @@ impl Replica {
             sync: sync::StateSync::default(),
             vc: view::ViewChangeState::default(),
             recovery: None,
+            offers: state_transfer::Offers::default(),
             behavior: ReplicaBehavior::Correct,
             stats: ReplicaStats::default(),
         }
@@ -277,7 +286,10 @@ impl Replica {
 
     /// How far past the log tail remote messages may create per-slot
     /// agreement/sync state (neo-lint R5: Byzantine peers naming
-    /// far-future slots must not grow maps at will).
+    /// far-future slots must not grow maps at will) — and, the same
+    /// distance the other way, how far below its stable checkpoint a
+    /// replica keeps its log (`trim_log`): what the gap machinery may
+    /// still be asked about, and nothing else.
     const SLOT_WINDOW: u64 = 4096;
     /// How many epochs past the installed one packets and votes are
     /// buffered.
@@ -335,6 +347,14 @@ impl Replica {
         }
     }
 
+    /// Buffer the record of the entry `slot` now holds, encoded from the
+    /// log's own copy.
+    fn wal_append_slot(&mut self, slot: SlotNum) {
+        if let (Some(store), Some(entry)) = (&mut self.store, self.log.entry(slot)) {
+            store.append(&WalRecord::slot_bytes(slot, entry));
+        }
+    }
+
     // neo-lint: verified(timer payloads are armed locally by this replica, never attacker input)
     fn on_timer_payload(&mut self, payload: TimerPayload, ctx: &mut dyn Context) {
         match payload {
@@ -351,6 +371,9 @@ impl Replica {
     }
 
     fn on_neo_msg(&mut self, from: Addr, msg: NeoMsg, ctx: &mut dyn Context) {
+        if self.answer_trimmed_slot(from, &msg, ctx) {
+            return;
+        }
         match msg {
             NeoMsg::Reply(..) => {} // replicas ignore stray replies
             NeoMsg::RequestUnicast(signed) => self.on_request_unicast(signed, ctx),
@@ -380,7 +403,7 @@ impl Replica {
                 checkpoint,
                 suffix_start,
                 suffix,
-            } => self.on_state_reply(checkpoint, suffix_start, suffix, ctx),
+            } => self.on_state_reply(from, checkpoint, suffix_start, suffix, ctx),
         }
     }
 }
@@ -455,6 +478,7 @@ impl Node for Replica {
             recovery_base: self.recovery_base().map(|s| s.0),
             last_exec: self.exec_cursor().0,
             log_len: self.log_len().0,
+            log_base: self.log.base().0,
             sync_point: self.sync_point().0,
             stable_checkpoint: self.stable_checkpoint_slot().map(|s| s.0),
         })

@@ -9,8 +9,7 @@ use super::{Replica, ReplicaBehavior};
 use crate::error::ProtocolError;
 use crate::log::LogEntry;
 use crate::messages::{NeoMsg, Reply, SignedBatch};
-use crate::recovery::{CheckpointData, WalRecord};
-use neo_aom::OrderingCert;
+use crate::recovery::CheckpointData;
 use neo_app::App;
 use neo_crypto::Principal;
 use neo_sim::obs::Event;
@@ -159,20 +158,22 @@ impl Replica {
             // state covers exactly slots < S.
             self.maybe_capture_checkpoint();
             let slot = self.exec.cursor;
-            let Some(entry) = self.log.entry(slot) else {
-                break; // pending gap: execution blocks here (§5.4)
+            // Decode from the log's own entry: what execution needs of a
+            // certificate is its digest and the batch inside, not a copy
+            // of header, authenticator vector, payload and confirms.
+            let request = match self.log.entry(slot) {
+                None => break, // pending gap: execution blocks here (§5.4)
+                Some(LogEntry::NoOp(_)) => None,
+                Some(LogEntry::Request(oc)) => SignedBatch::from_bytes(&oc.packet.payload)
+                    .map(|signed| (oc.packet.header.digest, signed)),
             };
-            match entry.clone() {
-                LogEntry::NoOp(_) => {
-                    self.exec.cursor = self.exec.cursor.next();
-                }
-                LogEntry::Request(oc) => {
-                    if let Err(e) = self.execute_slot(slot, &oc, ctx) {
-                        self.note_error(e, ctx);
-                    }
-                    self.exec.cursor = self.exec.cursor.next();
+            // A malformed batch is a consistent no-op everywhere.
+            if let Some((digest, signed)) = request {
+                if let Err(e) = self.execute_slot(slot, &digest, &signed, ctx) {
+                    self.note_error(e, ctx);
                 }
             }
+            self.exec.cursor = self.exec.cursor.next();
         }
         // The cursor may have stopped exactly on a boundary.
         self.maybe_capture_checkpoint();
@@ -185,12 +186,10 @@ impl Replica {
     fn execute_slot(
         &mut self,
         slot: SlotNum,
-        oc: &OrderingCert,
+        digest: &[u8; 32],
+        signed: &SignedBatch,
         ctx: &mut dyn Context,
     ) -> Result<(), ProtocolError> {
-        let Some(signed) = SignedBatch::from_bytes(&oc.packet.payload) else {
-            return Ok(()); // malformed batch: consistent no-op everywhere
-        };
         let batch = &signed.batch;
         if batch.is_empty() {
             return Ok(()); // empty batch: consistent no-op everywhere
@@ -199,7 +198,7 @@ impl Replica {
         // vector. The MAC covers the whole encoded envelope, so a batch
         // with even one forged op must not be executed (it would still
         // occupy the slot).
-        if !self.check_request_auth(&oc.packet.header.digest, &signed) {
+        if !self.check_request_auth(digest, signed) {
             return Ok(());
         }
         let client = batch.client;
@@ -333,6 +332,14 @@ impl Replica {
     }
 
     pub(super) fn fill_slot(&mut self, slot: SlotNum, entry: LogEntry, ctx: &mut dyn Context) {
+        // A slot below the base is final and gone: refuse it before
+        // anything is touched — a rollback towards it would leave the
+        // cursor below the base, where `try_execute` finds no entry and
+        // never moves again.
+        if slot < self.log.base() {
+            self.note_error(ProtocolError::FillRejected(slot), ctx);
+            return;
+        }
         // A fill may rewrite an executed suffix: roll back first so
         // re-execution sees consistent hashes.
         if self.exec.cursor > slot {
@@ -341,17 +348,11 @@ impl Replica {
         while self.log.len() <= slot {
             self.log.append_pending();
         }
-        let wal = self.store.is_some().then(|| WalRecord::Slot {
-            slot,
-            entry: entry.to_wire(),
-        });
         if self.log.fill(slot, entry).is_err() {
             self.note_error(ProtocolError::FillRejected(slot), ctx);
             return;
         }
-        if let Some(rec) = wal {
-            self.wal_append(&rec);
-        }
+        self.wal_append_slot(slot);
     }
 
     // ------------------------------------------------------------------
@@ -414,5 +415,38 @@ impl Replica {
             self.cfg.unicast_watchdog_ns,
             ctx,
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testing::{ctx, oc, replica};
+    use super::*;
+    use crate::config::NeoConfig;
+    use crate::log::Log;
+    use neo_crypto::Digest;
+
+    #[test]
+    fn a_fill_below_the_base_touches_nothing() {
+        // Replica 1 of 4 resumed from a checkpoint at slot 8 and has
+        // executed slots 8 and 9 since.
+        let mut r = replica(1, NeoConfig::new(1));
+        let mut ctx = ctx(1);
+        let mut log = Log::with_base(SlotNum(8), Digest::ZERO);
+        log.append_request(oc(9, 1));
+        log.append_request(oc(10, 2));
+        r.set_log_for_tests(log);
+        r.try_execute(&mut ctx);
+        assert_eq!(r.exec_cursor(), SlotNum(10));
+
+        // A fill for slot 3 — from a sync vote's certificate, a merged
+        // view-change log, a state-transfer suffix — is refused whole:
+        // no rollback towards a slot the log no longer holds, which
+        // would strand the cursor below the base for good.
+        r.fill_slot(SlotNum(3), LogEntry::NoOp(None), &mut ctx);
+        assert_eq!(r.exec_cursor(), SlotNum(10));
+        assert_eq!(r.stats.rollbacks, 0);
+        assert_eq!(r.stats.protocol_errors, 1, "counted, not applied");
+        assert_eq!(r.log.len(), SlotNum(10));
     }
 }

@@ -79,15 +79,17 @@ pub(super) struct GapAgreement {
 impl GapAgreement {
     /// Slots below `end` that had a round in this view — where a sync
     /// vote looks for no-ops to carry (§B.2). A marker per finished
-    /// round survives the sync point, see `shed_votes_below`.
+    /// round survives the sync point, see `shed_votes_below`, and goes
+    /// with its slot when the log lets go of it.
     pub(super) fn slots_below(&self, end: SlotNum) -> impl Iterator<Item = SlotNum> + '_ {
         self.gaps.range(..end).map(|(slot, _)| *slot)
     }
 
     /// The gap rounds resolved below the sync point give up their ≈ 2n
     /// signed votes each and keep only the `resolved` marker, which is
-    /// what turns away a replayed decision for the rest of the view; one
-    /// still open here (this replica lags) stays whole.
+    /// what turns away a replayed decision while the log still holds the
+    /// slot (below the base, `answer_trimmed_slot` does); one still open
+    /// here (this replica lags) stays whole.
     pub(super) fn shed_votes_below(&mut self, sync_point: SlotNum) {
         for (_, gap) in self
             .gaps
@@ -113,12 +115,53 @@ impl Replica {
     }
 
     /// Abandon every round: per-slot agreement state belongs to one
-    /// view (and sits above the log base), so leaving the view or
-    /// rebasing the log discards it — state and timers both, or a timer
-    /// armed for the old round fires into the new one.
+    /// view, so leaving the view discards it — state and timers both, or
+    /// a timer armed for the old round fires into the new one.
     pub(super) fn close_all_gap_rounds(&mut self, ctx: &mut dyn Context) {
-        self.timers.cancel_gap_rounds(ctx);
-        self.gap.gaps.clear();
+        self.close_gap_rounds_below(SlotNum(u64::MAX), ctx);
+    }
+
+    /// Abandon the rounds of slots below `end` — open ones, and the
+    /// markers of finished ones — with their timers: the log no longer
+    /// holds those slots (`end` is its new base), and whatever still
+    /// arrives about them stops at `answer_trimmed_slot`.
+    pub(super) fn close_gap_rounds_below(&mut self, end: SlotNum, ctx: &mut dyn Context) {
+        self.timers.cancel_gap_rounds_below(end, ctx);
+        self.gap.gaps = self.gap.gaps.split_off(&end);
+    }
+
+    /// The one rule for a message about a slot this log has let go of
+    /// (DESIGN.md §17), applied before any per-message handler: it
+    /// creates no round and no map entry, whatever its view. A `Query`,
+    /// `GapFind` or `GapDecision` comes from a replica that is stuck on
+    /// that slot, and what unsticks it is the checkpoint that covers it,
+    /// so its sender is offered this replica's stable one; the votes and
+    /// answers of a round (`GapRecv`, `GapDrop`, `GapPrepare`,
+    /// `GapCommit`, `QueryReply`) are dropped. (`StateQuery` names a
+    /// slot too, and `on_state_query` already answers one below the base
+    /// with the checkpoint.) Returns whether the message stops here.
+    pub(super) fn answer_trimmed_slot(
+        &mut self,
+        from: Addr,
+        msg: &NeoMsg,
+        ctx: &mut dyn Context,
+    ) -> bool {
+        let (slot, stuck_sender) = match msg {
+            NeoMsg::Query { slot, .. }
+            | NeoMsg::GapFind { slot, .. }
+            | NeoMsg::GapDecision { slot, .. } => (*slot, true),
+            NeoMsg::QueryReply { slot, .. } | NeoMsg::GapRecv { slot, .. } => (*slot, false),
+            NeoMsg::GapDrop(body, _) => (body.slot, false),
+            NeoMsg::GapPrepare(body, _) | NeoMsg::GapCommit(body, _) => (body.slot, false),
+            _ => return false,
+        };
+        if slot >= self.log.base() {
+            return false;
+        }
+        if let (true, Addr::Replica(sender)) = (stuck_sender, from) {
+            self.offer_checkpoint(sender, ctx);
+        }
+        true
     }
 
     /// The slot has its final entry: no vote or timer of its round
@@ -691,6 +734,61 @@ mod tests {
     use super::*;
     use crate::config::NeoConfig;
     use crate::log::Log;
+    use neo_crypto::Digest;
+
+    #[test]
+    fn a_message_about_a_slot_below_the_base_opens_nothing() {
+        // Replica 1 of 4 holds its log from slot 8 on.
+        let mut r = replica(1, NeoConfig::new(1));
+        let mut ctx = ctx(1);
+        r.set_log_for_tests(Log::with_base(SlotNum(8), Digest::ZERO));
+        let view = r.view;
+        let leader = Addr::Replica(ReplicaId(0));
+
+        // The leader's gap-find for slot 3 is not "beyond my log, answer
+        // when it arrives": nothing is parked, now or for ever.
+        let slot = SlotNum(3);
+        let sig = sign_body(&(view, slot), &signer(0));
+        r.on_neo_msg(leader, NeoMsg::GapFind { view, slot, sig }, &mut ctx);
+        assert!(r.gap.gaps.is_empty(), "no find_pending entry");
+
+        // Nor do a decision and the votes of its round open one.
+        let decision = GapDecisionBody::Recv(oc(4, 7));
+        let sig = signer(0).sign(&gap_decision_digest(view, slot, &decision));
+        let msg = NeoMsg::GapDecision {
+            view,
+            slot,
+            decision,
+            sig,
+        };
+        r.on_neo_msg(leader, msg, &mut ctx);
+        let replica = ReplicaId(2);
+        let body = GapVoteBody {
+            view,
+            replica,
+            slot,
+            recv: true,
+        };
+        let sig = sign_body(&body, &signer(2));
+        r.on_neo_msg(leader, NeoMsg::GapPrepare(body, sig.clone()), &mut ctx);
+        r.on_neo_msg(leader, NeoMsg::GapCommit(body, sig), &mut ctx);
+        let body = GapDropBody {
+            view,
+            replica,
+            slot,
+        };
+        let sig = sign_body(&body, &signer(2));
+        r.on_neo_msg(leader, NeoMsg::GapDrop(body, sig), &mut ctx);
+        assert!(r.gap.gaps.is_empty());
+        assert!(ctx.sends.is_empty(), "no checkpoint held, nothing to offer");
+        assert!(ctx.timers_set.is_empty());
+
+        // The base itself is held: a gap-find for it is answered as ever.
+        let slot = SlotNum(8);
+        let sig = sign_body(&(view, slot), &signer(0));
+        r.on_neo_msg(leader, NeoMsg::GapFind { view, slot, sig }, &mut ctx);
+        assert!(r.gap.gaps.get(&slot).is_some_and(|g| g.find_pending));
+    }
 
     #[test]
     fn a_final_slot_is_never_touched_by_a_gap_round() {

@@ -2,13 +2,12 @@
 //! the wire and an ordered delivery — the verify stage's dispatch and
 //! in-order absorb (DESIGN.md §16), own confirms and their batched
 //! flush (§6.2), packets parked for an epoch not yet installed, the aom
-//! gap timer, and the delivery trace. Deliveries leave here as log
+//! gap timer, and the delivery-order check. Deliveries leave here as log
 //! appends; what happens to a slot after that belongs to the others.
 
 use super::timers::TimerPayload;
 use super::{Replica, ReplicaBehavior, Status};
-use crate::messages::{SignedBatch, WireLogEntry};
-use crate::recovery::WalRecord;
+use crate::messages::SignedBatch;
 use crate::verify::{PoolVerifyTask, VerifyWork};
 use neo_aom::{AomPacket, AomReceiver, ConfigMsg, Delivery, Envelope, OrderingCert, SignedConfirm};
 use neo_crypto::{ReorderBuffer, VerifyPool};
@@ -44,13 +43,28 @@ pub(super) struct Ordering {
     /// sustained silence here (not one lost packet) is what implicates
     /// the sequencer (§4.2).
     last_aom_delivery: u64,
-    /// Every `(epoch, seq)` the aom layer delivered (messages and drop
-    /// notifications alike), in delivery order. The chaos harness checks
-    /// this trace for monotonicity; bounded by [`Replica::TRACE_CAP`].
-    delivery_trace: Vec<(u64, u64)>,
-    /// The trace hit its cap and stopped recording (checkers must then
-    /// skip trace-based invariants rather than report false gaps).
-    trace_saturated: bool,
+    /// How many deliveries the aom layer made (messages and drop
+    /// notifications alike), and the `(epoch, seq)` the next one has to
+    /// follow: the last one made, or where the receiver was moved to
+    /// (`realign_aom_to_log`).
+    deliveries: usize,
+    last_delivery: (u64, u64),
+    /// The first delivery that did not follow its predecessor (a later
+    /// epoch, or the next sequence number of the same one); the chaos
+    /// harness's monotone-delivery invariant reads it.
+    delivery_break: Option<DeliveryBreak>,
+}
+
+/// An aom delivery that did not follow the one before it; deliveries
+/// are `(epoch, seq)`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct DeliveryBreak {
+    /// Which delivery (counting from 0) broke the order.
+    pub(crate) index: usize,
+    /// The delivery before it (or where the receiver was moved to).
+    pub(crate) prev: (u64, u64),
+    /// The offending delivery.
+    pub(crate) next: (u64, u64),
 }
 
 impl Ordering {
@@ -63,8 +77,9 @@ impl Ordering {
             pending_confirms: Vec::new(),
             future_epoch: BTreeMap::new(),
             last_aom_delivery: 0,
-            delivery_trace: Vec::new(),
-            trace_saturated: false,
+            deliveries: 0,
+            last_delivery: (0, 0),
+            delivery_break: None,
         }
     }
 
@@ -77,25 +92,24 @@ impl Ordering {
         self.pool.as_ref()
     }
 
-    /// Record one aom delivery in the trace (bounded).
+    /// Check one aom delivery against the one before it, and remember
+    /// the first that breaks the order.
     fn record_delivery(&mut self, epoch: u64, seq: u64) {
-        if self.delivery_trace.len() >= Replica::TRACE_CAP {
-            self.trace_saturated = true;
-            return;
+        let (prev, next) = (self.last_delivery, (epoch, seq));
+        let follows = epoch > prev.0 || (epoch == prev.0 && seq == prev.1 + 1);
+        if !follows && self.delivery_break.is_none() {
+            let index = self.deliveries;
+            self.delivery_break = Some(DeliveryBreak { index, prev, next });
         }
-        self.delivery_trace.push((epoch, seq));
+        self.deliveries += 1;
+        self.last_delivery = next;
     }
 }
 
 impl Replica {
-    /// `(epoch, seq)` of every aom delivery, in delivery order.
-    pub fn delivery_trace(&self) -> &[(u64, u64)] {
-        &self.ordering.delivery_trace
-    }
-
-    /// Whether the delivery trace hit its cap and stopped recording.
-    pub fn delivery_trace_saturated(&self) -> bool {
-        self.ordering.trace_saturated
+    /// The first aom delivery that did not follow its predecessor.
+    pub(crate) fn delivery_break(&self) -> Option<DeliveryBreak> {
+        self.ordering.delivery_break
     }
 
     /// The aom receiver's counters (invariant checking and tests).
@@ -107,8 +121,6 @@ impl Replica {
     /// as soon as this node has run out of ready input — never after a
     /// wall-clock wait.
     const CONFIRM_BATCH: usize = 8;
-    /// Delivery-trace entries kept before recording stops.
-    const TRACE_CAP: usize = 1 << 20;
     /// Pool-preverified client-MAC verdicts kept at once (one per
     /// in-flight packet; neo-lint R5 growth bound).
     const PREVERIFIED_CAP: usize = 4096;
@@ -512,14 +524,8 @@ impl Replica {
         ctx.emit(Event::RequestReceived { slot: Some(slot.0) });
         // Write-ahead: the slot record is on the WAL buffer before the
         // reply below can leave (the executor fsyncs between them).
-        let wal = self.store.is_some().then(|| WalRecord::Slot {
-            slot,
-            entry: WireLogEntry::Request(cert.clone()),
-        });
         self.log.append_request(cert);
-        if let Some(rec) = wal {
-            self.wal_append(&rec);
-        }
+        self.wal_append_slot(slot);
         self.answer_pending_find(slot, ctx);
         self.try_execute(ctx);
         self.maybe_sync(ctx);
@@ -550,6 +556,11 @@ impl Replica {
             self.ordering.aom.install_epoch(epoch);
         }
         self.epoch_base = SlotNum(self.log.len().0 + 1 - next_seq.0);
+        if next_seq > self.ordering.aom.next_seq() {
+            // What is skipped came from the checkpoint, the WAL or a
+            // peer: the next delivery follows the log, not the last one.
+            self.ordering.last_delivery = (self.ordering.aom.epoch().0, next_seq.0 - 1);
+        }
         self.ordering.aom.fast_forward(next_seq);
     }
 
@@ -574,5 +585,48 @@ impl Replica {
         for pkt in buffered {
             self.dispatch_packet_verify(pkt, ctx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testing::replica;
+    use crate::config::NeoConfig;
+    use crate::log::Log;
+    use neo_crypto::Digest;
+    use neo_wire::SlotNum;
+
+    #[test]
+    fn the_first_delivery_out_of_order_is_remembered() {
+        let mut r = replica(1, NeoConfig::new(1));
+        for seq in 1..=3 {
+            r.ordering.record_delivery(0, seq);
+        }
+        r.ordering.record_delivery(1, 1); // an epoch change starts over
+        assert!(r.delivery_break().is_none());
+        r.ordering.record_delivery(1, 3); // 2 never came
+        r.ordering.record_delivery(1, 9);
+        let broken = r.delivery_break().expect("a break");
+        assert_eq!(
+            (broken.index, broken.prev, broken.next),
+            (4, (1, 1), (1, 3))
+        );
+    }
+
+    #[test]
+    fn a_realigned_receiver_continues_from_the_log() {
+        // Delivered 1 and 2; a checkpoint at slot 8 then moves the
+        // receiver to sequence number 9, which is what has to come next.
+        let mut r = replica(1, NeoConfig::new(1));
+        r.ordering.record_delivery(0, 1);
+        r.ordering.record_delivery(0, 2);
+        r.set_log_for_tests(Log::with_base(SlotNum(8), Digest::ZERO));
+        r.realign_aom_to_log();
+        r.ordering.record_delivery(0, 9);
+        assert!(r.delivery_break().is_none());
+        // Realigning again moves nothing and forgives nothing.
+        r.realign_aom_to_log();
+        r.ordering.record_delivery(0, 11);
+        assert!(r.delivery_break().is_some());
     }
 }

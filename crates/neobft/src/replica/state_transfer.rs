@@ -1,17 +1,19 @@
 //! Crash recovery and state transfer (DESIGN.md §17): restoring from
 //! the durable store at construction, asking peers for a newer certified
-//! checkpoint and the log suffix, serving such requests, and adopting a
-//! verified checkpoint — the one routine disk and peer checkpoints both
-//! go through.
+//! checkpoint and the log suffix, serving such requests, offering the
+//! stable checkpoint to a live peer that names a slot this log let go
+//! of, and adopting a verified checkpoint — the one routine a disk
+//! checkpoint, a fetched one and an offered one all go through.
 
 use super::timers::TimerPayload;
-use super::Replica;
-use crate::log::{Log, LogEntry};
+use super::{Replica, Status};
+use crate::log::LogEntry;
 use crate::messages::{sign_body, verify_body, NeoMsg, StateQueryBody, WireLogEntry};
 use crate::recovery::{WalRecord, WireCheckpoint};
 use neo_crypto::{Principal, Signature};
 use neo_sim::Context;
-use neo_wire::SlotNum;
+use neo_wire::{Addr, EpochNum, ReplicaId, SlotNum};
+use std::collections::BTreeSet;
 
 /// Phases of the crash-recovery state machine (DESIGN.md §17).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,6 +39,35 @@ pub(super) struct RecoveryState {
     base: SlotNum,
     /// Virtual time the state transfer started (for `recovery_ns`).
     started_at: Option<u64>,
+}
+
+/// Checkpoint offers between live replicas, each bounded to one per
+/// peer: those sent for the current stable checkpoint, and those tried
+/// for the pending slot this replica is currently stuck at.
+#[derive(Default)]
+pub(super) struct Offers {
+    sent: OncePerPeer,
+    tried: OncePerPeer,
+}
+
+/// The peers something has happened with about one slot; a new slot
+/// starts over.
+#[derive(Default)]
+struct OncePerPeer {
+    about: SlotNum,
+    peers: BTreeSet<ReplicaId>,
+}
+
+impl OncePerPeer {
+    /// Whether this is the first time for `peer` about `slot` (and note
+    /// that it has now happened).
+    fn first(&mut self, peer: ReplicaId, slot: SlotNum) -> bool {
+        if self.about != slot {
+            self.about = slot;
+            self.peers.clear();
+        }
+        self.peers.insert(peer)
+    }
 }
 
 impl Replica {
@@ -168,9 +199,12 @@ impl Replica {
     /// Ask every peer for a newer certified checkpoint and the log
     /// suffix, and again after `query_retry_ns` while still fetching.
     fn send_state_query(&mut self, ctx: &mut dyn Context) {
+        // What is held is the resolved prefix, not the tail: a slot
+        // still pending below the tail is as missing as one past it, for
+        // a restarted replica and a live laggard alike.
         let body = StateQueryBody {
             replica: self.id,
-            have: self.log.len(),
+            have: self.log.resolved_prefix_len(),
         };
         let sig = sign_body(&body, &self.crypto);
         self.broadcast(&NeoMsg::StateQuery(body, sig), ctx);
@@ -229,6 +263,29 @@ impl Replica {
         ctx.metrics().incr("replica.state_replies_served");
     }
 
+    /// A peer named a slot this log has let go of: send it what covers
+    /// that slot — the stable checkpoint, as a `StateReply` with an
+    /// empty suffix — at most once per peer per stable checkpoint, so
+    /// the (unauthenticated) request cannot be turned into a stream of
+    /// snapshots.
+    pub(super) fn offer_checkpoint(&mut self, to: ReplicaId, ctx: &mut dyn Context) {
+        let Some(stable) = self.sync.stable_checkpoint() else {
+            return;
+        };
+        let slot = stable.data.slot;
+        if to == self.id || to.index() >= self.cfg.n || !self.offers.sent.first(to, slot) {
+            return;
+        }
+        let offer = NeoMsg::StateReply {
+            checkpoint: Some(stable.clone()),
+            suffix_start: slot,
+            suffix: Vec::new(),
+        };
+        self.send_to(to, &offer, ctx);
+        self.stats.checkpoints_offered += 1;
+        ctx.metrics().incr("replica.checkpoints_offered");
+    }
+
     /// Count a rejected state-transfer payload and return to the
     /// fetching phase so the retry timer keeps asking other peers.
     fn reject_state_transfer(&mut self, ctx: &mut dyn Context) {
@@ -241,17 +298,29 @@ impl Replica {
         }
     }
 
-    /// Make a *verified* checkpoint this replica's state, replacing the
-    /// log, the execution state and the sync state below its slot —
-    /// from its own disk at construction and from a peer alike. Returns
-    /// false, with nothing changed, if the app refuses the snapshot.
-    // neo-lint: verified(both callers — restore_from_store and install_checkpoint's caller on_state_reply — run verify_checkpoint on the 2f+1 sync-vote certificate first)
+    /// Make a *verified* checkpoint this replica's state — from its own
+    /// disk at construction, fetched during recovery, or offered to a
+    /// live laggard alike. The app takes the snapshot, the cursor and
+    /// the sync point move to the checkpoint's slot, and the log is
+    /// rebased there in place: it keeps its own entries at and above the
+    /// slot (they came authenticated from aom, and none was executed —
+    /// the cursor stood below), and a log whose tail is below the slot
+    /// is left empty at it. Returns false, with nothing changed, if the
+    /// app refuses the snapshot.
+    // neo-lint: verified(every caller — restore_from_store, and install_checkpoint's callers on_state_reply and on_checkpoint_offer — runs verify_checkpoint on the 2f+1 sync-vote certificate first)
     fn adopt_checkpoint(&mut self, wire: &WireCheckpoint) -> bool {
         if !self.exec.install_checkpoint(&wire.data) {
             return false;
         }
         let slot = wire.data.slot;
-        self.log = Log::with_base(slot, wire.data.chain_hash);
+        // ... unless the checkpoint starts an epoch this log has not
+        // seen: its tail was then stamped by a sequencer the group has
+        // left behind, and goes too.
+        let unseen = |(e, _): &(EpochNum, SlotNum)| self.log.epoch_start(*e).is_none();
+        if wire.data.epoch_starts.iter().any(unseen) {
+            self.log.truncate(slot);
+        }
+        self.stats.slots_trimmed += self.log.rebase(slot, wire.data.chain_hash);
         for (e, s) in &wire.data.epoch_starts {
             self.log.record_epoch_start(*e, *s);
         }
@@ -262,37 +331,79 @@ impl Replica {
         true
     }
 
-    /// Install a *verified* checkpoint fetched from a peer, on a running
-    /// replica: adopt it, drop what it makes obsolete, and persist it.
-    // neo-lint: verified(the caller, on_state_reply, runs verify_checkpoint on the 2f+1 sync-vote certificate before installing)
+    /// Install a *verified* checkpoint from a peer, on a running
+    /// replica: adopt it, close the gap rounds below it, persist it, and
+    /// let the ordering layer follow the log (which moves the receiver
+    /// only if the checkpoint lay past the tail).
+    // neo-lint: verified(both callers, on_state_reply and on_checkpoint_offer, run verify_checkpoint on the 2f+1 sync-vote certificate before installing)
     fn install_checkpoint(&mut self, wire: &WireCheckpoint, ctx: &mut dyn Context) -> bool {
         if !self.adopt_checkpoint(wire) {
             return false;
         }
-        // Per-slot agreement state below the new base is obsolete.
-        self.close_all_gap_rounds(ctx);
+        self.close_gap_rounds_below(wire.data.slot, ctx);
         // Persist: the checkpoint supersedes every WAL record below it.
         if let Some(store) = &mut self.store {
             store.put_checkpoint(&wire.to_bytes());
-            store.reset_log(&[]);
         }
+        self.compact_wal(wire.data.slot, ctx);
+        self.realign_aom_to_log();
         true
+    }
+
+    /// An unsolicited `StateReply`: a peer's answer to a message of ours
+    /// that named a slot it no longer holds (`answer_trimmed_slot`).
+    /// Admission before authentication (DESIGN.md §16) — this replica is
+    /// live and stuck on a pending slot the checkpoint covers, the
+    /// checkpoint is newer than its own, and the sender has not been
+    /// tried for this pending slot — then the same `verify_checkpoint`
+    /// and the same adoption as any other checkpoint.
+    fn on_checkpoint_offer(&mut self, from: Addr, wire: &WireCheckpoint, ctx: &mut dyn Context) {
+        let Addr::Replica(from) = from else {
+            return;
+        };
+        let stuck_at = self.log.resolved_prefix_len();
+        let stuck = self.status == Status::Normal
+            && self.log.is_pending(stuck_at)
+            && stuck_at < wire.data.slot;
+        let newer = self.stable_checkpoint_slot() < Some(wire.data.slot);
+        // Within this replica's epoch only: following the group into a
+        // new one takes the view change, not a snapshot.
+        let starts = &wire.data.epoch_starts;
+        let same_epoch = starts.iter().all(|(e, _)| *e <= self.ordering.epoch());
+        let admissible = stuck && newer && same_epoch && from.index() < self.cfg.n;
+        if !admissible || !self.offers.tried.first(from, stuck_at) {
+            return;
+        }
+        if !self.verify_checkpoint(wire) || !self.install_checkpoint(wire, ctx) {
+            self.reject_state_transfer(ctx);
+            return;
+        }
+        self.stats.checkpoints_adopted_live += 1;
+        ctx.metrics().incr("replica.checkpoints_adopted_live");
+        self.try_execute(ctx);
+        self.maybe_sync(ctx);
+        self.pump_aom(ctx);
     }
 
     /// Handle a state-transfer reply: verify the checkpoint certificate
     /// and every suffix entry's ordering/gap certificate, install what
     /// verifies, and rejoin. Any failed check rejects the whole reply —
     /// a Byzantine peer cannot smuggle a tampered snapshot or an
-    /// uncertified entry past this point.
+    /// uncertified entry past this point. Outside recovery a reply can
+    /// only be a checkpoint offer.
     pub(super) fn on_state_reply(
         &mut self,
+        from: Addr,
         checkpoint: Option<WireCheckpoint>,
         suffix_start: SlotNum,
         suffix: Vec<WireLogEntry>,
         ctx: &mut dyn Context,
     ) {
         if self.recovery_phase() != Some(RecoveryPhase::FetchingCheckpoint) {
-            return; // not recovering (or already past this phase)
+            if let Some(wire) = &checkpoint {
+                self.on_checkpoint_offer(from, wire, ctx);
+            }
+            return;
         }
         if let Some(rec) = &mut self.recovery {
             rec.phase = RecoveryPhase::Replaying;
@@ -302,7 +413,11 @@ impl Replica {
                 self.reject_state_transfer(ctx);
                 return;
             }
-            if wire.data.slot > self.log.len() && !self.install_checkpoint(wire, ctx) {
+            // Only a checkpoint that covers something this log is
+            // missing: one below the resolved prefix has nothing to add.
+            if wire.data.slot > self.log.resolved_prefix_len()
+                && !self.install_checkpoint(wire, ctx)
+            {
                 self.reject_state_transfer(ctx);
                 return;
             }
@@ -316,6 +431,10 @@ impl Replica {
                 continue; // covered by the checkpoint just installed
             }
             match entry {
+                // The suffix starts at the resolved prefix: a slot the
+                // log already holds above it has this request, or the
+                // certified no-op that replaced it.
+                WireLogEntry::Request(_) if self.log.entry(slot).is_some() => {}
                 WireLogEntry::Request(oc) => {
                     let (epoch, seq) = self.epoch_and_seq_of(slot);
                     if oc.packet.header.seq != seq || !self.verify_cert_in_epoch(oc, epoch) {

@@ -72,12 +72,12 @@ impl Timers {
         self.cancel(TimerPayload::GapAgreement(slot), ctx);
     }
 
-    /// Cancel the timers of every gap round.
-    pub(super) fn cancel_gap_rounds(&mut self, ctx: &mut dyn Context) {
+    /// Cancel the timers of every gap round for a slot below `end`.
+    pub(super) fn cancel_gap_rounds_below(&mut self, end: SlotNum, ctx: &mut dyn Context) {
         self.cancel_where(ctx, |p| {
             matches!(
                 p,
-                TimerPayload::QueryRetry(_) | TimerPayload::GapAgreement(_)
+                TimerPayload::QueryRetry(slot) | TimerPayload::GapAgreement(slot) if *slot < end
             )
         });
     }
@@ -171,7 +171,9 @@ mod tests {
             vec![ctx.timers_set[0].0, ctx.timers_set[1].0]
         );
         assert!(t.is_armed(TimerPayload::QueryRetry(SlotNum(4))));
-        t.cancel_gap_rounds(&mut ctx);
+        t.cancel_gap_rounds_below(SlotNum(4), &mut ctx);
+        assert_eq!(ctx.timers_cancelled.len(), 2, "slot 4 is not below 4");
+        t.cancel_gap_rounds_below(SlotNum(u64::MAX), &mut ctx);
         assert_eq!(ctx.timers_cancelled.len(), 4);
         assert!(!t.is_armed(TimerPayload::GapAgreement(SlotNum(4))));
         assert!(t.is_armed(TimerPayload::AomGap(SeqNum(5))));

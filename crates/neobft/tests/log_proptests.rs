@@ -42,17 +42,21 @@ enum Step {
     /// Adopt a checkpoint at the resolved prefix: a fresh log
     /// `with_base` there, seeded with the chain hash.
     Rebase,
+    /// Let go of this share (in 256ths) of the held resolved prefix, in
+    /// place — what a live replica does below its stable checkpoint.
+    Cut(u8),
 }
 
 fn random_steps(rng: &mut ChaCha8Rng) -> Vec<Step> {
     let n = rng.gen_range(0..60);
     (0..n)
-        .map(|_| match rng.gen_range(0..12) {
+        .map(|_| match rng.gen_range(0..14) {
             0..=4 => Step::AppendRequest(rng.gen()),
             5..=6 => Step::AppendPending,
             7..=9 => Step::ResolveOldest(rng.gen(), rng.gen()),
             10 => Step::Truncate(rng.gen()),
-            _ => Step::Rebase,
+            11 => Step::Rebase,
+            _ => Step::Cut(rng.gen()),
         })
         .collect()
 }
@@ -60,16 +64,25 @@ fn random_steps(rng: &mut ChaCha8Rng) -> Vec<Step> {
 /// Apply steps to an empty log. After every step the exec records are
 /// exactly as long as the log.
 fn build(steps: &[Step]) -> Log {
+    build_with_reference(steps).0
+}
+
+/// [`build`], and beside it the reference: the same slots in a log that
+/// grew from genesis and never let go of anything.
+fn build_with_reference(steps: &[Step]) -> (Log, Log) {
     let mut log = Log::new();
+    let mut reference = Log::new();
     let mut seq = 1u64;
     for step in steps {
         match step {
             Step::AppendRequest(p) => {
                 log.append_request(oc(seq, *p));
+                reference.append_request(oc(seq, *p));
                 seq += 1;
             }
             Step::AppendPending => {
                 log.append_pending();
+                reference.append_pending();
                 seq += 1;
             }
             Step::ResolveOldest(as_request, p) => {
@@ -79,18 +92,33 @@ fn build(steps: &[Step]) -> Log {
                     } else {
                         LogEntry::NoOp(None)
                     };
-                    log.fill(slot, entry).unwrap();
+                    log.fill(slot, entry.clone()).unwrap();
+                    reference.fill(slot, entry).unwrap();
                 }
             }
             Step::Truncate(share) => {
                 let held = log.len().0 - log.base().0;
-                log.truncate(SlotNum(log.base().0 + held * *share as u64 / 256));
+                let len = SlotNum(log.base().0 + held * *share as u64 / 256);
+                log.truncate(len);
+                reference.truncate(len);
             }
             Step::Rebase => {
                 let prefix = log.resolved_prefix_len();
                 if prefix.0 > 0 {
                     let seed = log.hash_at(SlotNum(prefix.0 - 1)).unwrap();
                     log = Log::with_base(prefix, seed);
+                    reference.truncate(prefix);
+                }
+            }
+            Step::Cut(share) => {
+                let held = log.resolved_prefix_len().0 - log.base().0;
+                let cut = SlotNum(log.base().0 + held * *share as u64 / 256);
+                if cut.0 > 0 {
+                    let seed = log.hash_at(SlotNum(cut.0 - 1)).unwrap();
+                    let old_base = log.base();
+                    let dropped = log.rebase(cut, seed);
+                    assert_eq!(log.base(), cut, "{steps:?}");
+                    assert_eq!(dropped, cut.0 - old_base.0, "{steps:?}");
                 }
             }
         }
@@ -99,8 +127,9 @@ fn build(steps: &[Step]) -> Log {
             log.len().0,
             "exec records out of step with the log after {step:?} of {steps:?}"
         );
+        assert_eq!(log.len(), reference.len(), "after {step:?} of {steps:?}");
     }
-    log
+    (log, reference)
 }
 
 /// Hashes exist exactly for the resolved prefix the log still holds (and
@@ -125,6 +154,50 @@ fn watermark_matches_first_pending() {
             assert_eq!(hashed, expect_hash, "case {case}, slot {i}: {steps:?}");
             assert!(held || !expect_entry, "case {case}, slot {i}: {steps:?}");
         }
+    }
+}
+
+/// Letting go of a prefix changes nothing above it: every hash at or
+/// above the base — and the seed just below it — is the one a log that
+/// grew from genesis holds there, and so is every entry and every
+/// pending slot.
+#[test]
+fn a_cut_log_is_the_suffix_of_the_genesis_grown_one() {
+    for case in 0..CASES {
+        let steps = random_steps(&mut case_rng(5, case));
+        let (log, reference) = build_with_reference(&steps);
+        assert_eq!(
+            log.resolved_prefix_len(),
+            reference.resolved_prefix_len(),
+            "case {case}: {steps:?}"
+        );
+        let base = log.base().0;
+        for i in base.saturating_sub(1)..log.len().0 {
+            let slot = SlotNum(i);
+            assert_eq!(
+                log.hash_at(slot),
+                reference.hash_at(slot),
+                "case {case}, slot {i}: {steps:?}"
+            );
+        }
+        for i in base..log.len().0 {
+            let slot = SlotNum(i);
+            assert_eq!(
+                log.entry(slot),
+                reference.entry(slot),
+                "case {case}, slot {i}"
+            );
+            assert_eq!(
+                log.is_pending(slot),
+                reference.is_pending(slot),
+                "case {case}"
+            );
+        }
+        for i in 0..base.saturating_sub(1) {
+            assert_eq!(log.hash_at(SlotNum(i)), None, "case {case}, slot {i}");
+            assert_eq!(log.entry(SlotNum(i)), None, "case {case}, slot {i}");
+        }
+        assert_eq!(log.exec_digests().len() as u64, log.len().0, "case {case}");
     }
 }
 

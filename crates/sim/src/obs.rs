@@ -848,6 +848,11 @@ pub struct NodeHealth {
     pub last_exec: u64,
     /// Current log length in slots.
     pub log_len: u64,
+    /// First slot the log still holds: everything below was let go of
+    /// under a certified checkpoint, so `log_len - log_base` is what the
+    /// node keeps in memory.
+    #[serde(default)]
+    pub log_base: u64,
     /// Stable sync point (§B.2).
     pub sync_point: u64,
     /// Sync-point slot of the newest certified checkpoint.
@@ -1417,6 +1422,7 @@ neobft_empty_ns_count{node=\"r0\"} 0
                 recovery_base: Some(128),
                 last_exec: 512,
                 log_len: 520,
+                log_base: 256,
                 sync_point: 500,
                 stable_checkpoint: Some(384),
             }),
