@@ -159,6 +159,7 @@ impl SequencerNode {
         self.next = self.next.next();
         self.stamped += 1;
         ctx.emit(Event::SequencerStamp {
+            epoch: pkt.header.epoch.0,
             seq: pkt.header.seq.0,
         });
 

@@ -233,8 +233,13 @@ impl PbftReplica {
             ctx.metrics().incr("replica.bounded_rejects");
             return;
         }
-        // PBFT assigns the order later (at pre-prepare), so no slot yet.
-        ctx.emit(Event::RequestReceived { slot: None });
+        // PBFT assigns the order later (at pre-prepare), so no slot yet
+        // (and there is no aom stamp: `seq` 0).
+        ctx.emit(Event::RequestReceived {
+            slot: None,
+            epoch: 0,
+            seq: 0,
+        });
         // neo-lint: allow(R5, size-capped at SIG_CACHE_MAX above)
         self.sig_cache.insert((req.client, req.request_id), sig);
         self.queue.push(req);

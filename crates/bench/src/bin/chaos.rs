@@ -6,11 +6,12 @@
 //!   PBFT control), for reproducing a reported violation.
 //! - `chaos --plan '<json>'` — re-run an exact serialized plan from a
 //!   violation report, bypassing the generator.
-//! - `--obs-out <path>` — append live `ObsStreamLine` JSONL (one line
+//! - `--obs-out <path>` — append live `NodeReport` JSONL (one line
 //!   per node per slice boundary) to `path`.
-//! - `--telemetry-addr <addr>` — serve `GET /metrics` (Prometheus) and
-//!   `GET /health` (JSON) on `addr` (e.g. `127.0.0.1:9464`), refreshed
-//!   at every slice boundary while the sweep runs.
+//! - `--telemetry-addr <addr>` — serve `GET /metrics` (Prometheus),
+//!   `GET /health` and `GET /reports` (JSON) on `addr` (e.g.
+//!   `127.0.0.1:9464`), refreshed at every slice boundary while the
+//!   sweep runs.
 //! - `--flight-dir <dir>` — where flight-recorder dumps are written
 //!   (default `$NEO_FLIGHT_DIR`, falling back to `target/flight`).
 //!
@@ -23,8 +24,9 @@ use neo_bench::chaos::{
     generate_plan, run_neo_with, run_pbft_control, summary_line, violation_report, ChaosOutcome,
     ChaosPlan, RunHooks,
 };
+use neo_sim::obs::{flight_dir, write_flight};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -42,30 +44,11 @@ fn parse(args: &[String], flag: &str, default: u64) -> u64 {
     }
 }
 
-/// Flight-dump directory: flag, then env, then `target/flight`.
-fn flight_dir(args: &[String]) -> PathBuf {
-    get(args, "--flight-dir")
-        .map(PathBuf::from)
-        .or_else(|| std::env::var_os("NEO_FLIGHT_DIR").map(PathBuf::from))
-        .unwrap_or_else(|| PathBuf::from("target/flight"))
-}
-
 /// Write the outcome's flight dump (if any) as a JSON artifact.
-fn write_flight(dir: &Path, outcome: &ChaosOutcome) {
-    let Some(flight) = &outcome.flight else {
-        return;
-    };
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("chaos: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("flight-seed-{}.json", outcome.plan.seed));
-    match serde_json::to_vec_pretty(flight) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => eprintln!("chaos: flight recorder written to {}", path.display()),
-            Err(e) => eprintln!("chaos: cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("chaos: cannot serialize flight dump: {e}"),
+fn dump_flight(dir: &Path, outcome: &ChaosOutcome) {
+    if let Some(flight) = &outcome.flight {
+        let name = format!("flight-seed-{}.json", outcome.plan.seed);
+        write_flight("chaos", dir, &name, flight);
     }
 }
 
@@ -101,11 +84,11 @@ fn arm_sigint() -> Arc<AtomicBool> {
 /// the hub (publish target) and the server handle keeping it served.
 fn telemetry(args: &[String]) -> Option<(Arc<neo_sim::TelemetryHub>, neo_sim::TelemetryServer)> {
     let addr = get(args, "--telemetry-addr")?;
-    let hub = Arc::new(neo_sim::TelemetryHub::new());
+    let hub = Arc::new(neo_sim::TelemetryHub::default());
     match neo_sim::TelemetryServer::start(addr, hub.clone()) {
         Ok(server) => {
             eprintln!(
-                "chaos: telemetry on http://{}/metrics and /health",
+                "chaos: telemetry on http://{}/metrics, /health and /reports",
                 server.local_addr()
             );
             Some((hub, server))
@@ -135,7 +118,7 @@ fn obs_writer(args: &[String]) -> Option<std::io::BufWriter<std::fs::File>> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let stop = arm_sigint();
-    let dir = flight_dir(&args);
+    let dir = flight_dir(get(&args, "--flight-dir"));
     let mut obs = obs_writer(&args);
     let telemetry = telemetry(&args);
     let hub = telemetry.as_ref().map(|(h, _)| h.as_ref());
@@ -168,7 +151,7 @@ fn main() {
             eprint!("{}", violation_report(&outcome));
             failed += 1;
         }
-        write_flight(&dir, &outcome);
+        dump_flight(&dir, &outcome);
         if stop.load(Ordering::Relaxed) {
             eprintln!("chaos: interrupted after {swept} seed(s)");
             std::process::exit(130);
@@ -199,7 +182,7 @@ fn run_one(
     };
     let outcome = run_neo_with(plan, &mut hooks);
     println!("{}", summary_line(&outcome));
-    write_flight(dir, &outcome);
+    dump_flight(dir, &outcome);
     if stop.load(Ordering::Relaxed) {
         return 130;
     }

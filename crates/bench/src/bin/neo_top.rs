@@ -1,45 +1,35 @@
 //! `neo-top` — live operator console over the telemetry plane.
 //!
-//! Two sources:
+//! Two sources, one input type — a list of [`NodeReport`]s per sample:
 //!
-//! - `neo-top --addr 127.0.0.1:9464` — poll a node's (or the chaos
-//!   bin's) `--telemetry-addr` endpoint: `GET /metrics` (Prometheus
-//!   exposition) and `GET /health` (JSON). Refreshes every
+//! - `neo-top --addr 127.0.0.1:9464` — poll `GET /reports` on a node's
+//!   (or the chaos bin's) `--telemetry-addr` endpoint. Refreshes every
 //!   `--interval-ms` (default 1000), clearing the screen between
 //!   frames. With `--once`, takes exactly two samples one interval
 //!   apart, prints one frame, and exits (rates need a delta).
 //! - `neo-top --replay obs.jsonl` — offline: summarize an
-//!   `--obs-out` JSONL stream (`ObsStreamLine` per node per slice),
-//!   rendering the same frame from the first→last snapshot window.
+//!   `--obs-out` JSONL stream (a `NodeReport` per node per slice),
+//!   rendering the same frame from the first→last report window.
 //!
-//! Per node the frame shows commit/exec rates (event-counter deltas
-//! over the sample window), client-latency p50/p99 recomputed from
-//! Prometheus histogram *bucket deltas* (so the quantiles describe the
-//! window, not the whole run), fsync p99, gap activity, view-change
-//! counts, and the health verdict. Nodes mid-recovery get a banner
-//! above the table.
+//! Per node the frame shows commit/exec rates (event-count deltas over
+//! the sample window), client-latency p50/p99 recomputed from histogram
+//! *bucket deltas* (so the quantiles describe the window, not the whole
+//! run), fsync p99, gap activity, view-change counts, and the health the
+//! node reported. Nodes mid-recovery get a banner above the table.
 
 use neo_bench::report::{fmt_us, Table};
-use neo_sim::obs::{EventKind, HealthReport, ObsStreamLine};
-use neo_sim::render_prometheus;
+use neo_sim::obs::{bucket_floor, EventKind, HistogramSnapshot, NodeReport};
 use std::collections::BTreeMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// `(node, series)` — series is a family name or `events/<kind>`.
-type SeriesKey = (String, String);
-/// Cumulative histogram buckets: `(le, cumulative count)`, ascending.
-type Buckets = Vec<(f64, u64)>;
-
-/// One scrape (or one replay window edge), parsed.
+/// One poll (or one replay window edge).
 #[derive(Clone, Debug, Default)]
 struct Sample {
     /// Sample time in seconds (monotonic for live, stream time for replay).
     at_s: f64,
-    counters: BTreeMap<SeriesKey, f64>,
-    buckets: BTreeMap<SeriesKey, Buckets>,
-    health: Vec<HealthReport>,
+    reports: Vec<NodeReport>,
 }
 
 fn usage() -> ! {
@@ -47,7 +37,7 @@ fn usage() -> ! {
         "usage: neo-top --addr <host:port> [--interval-ms N] [--once]\n\
          \u{20}      neo-top --replay <obs.jsonl>\n\
          \n\
-         --addr A         poll A/metrics and A/health (a --telemetry-addr endpoint)\n\
+         --addr A         poll A/reports (a --telemetry-addr endpoint)\n\
          --interval-ms N  refresh period (default 1000)\n\
          --once           two samples, one frame, exit\n\
          --replay F       summarize an --obs-out JSONL stream instead of polling"
@@ -113,16 +103,12 @@ fn live(addr: &str, interval: Duration, once: bool) -> i32 {
 }
 
 fn scrape(addr: &str, start: Instant) -> Result<Sample, String> {
-    let metrics = http_get(addr, "/metrics")?;
-    let health = http_get(addr, "/health")?;
-    let mut s = Sample {
+    let body = http_get(addr, "/reports")?;
+    Ok(Sample {
         at_s: start.elapsed().as_secs_f64(),
-        ..Sample::default()
-    };
-    parse_exposition(&metrics, &mut s);
-    s.health =
-        serde_json::from_str(&health).map_err(|e| format!("bad /health JSON from {addr}: {e}"))?;
-    Ok(s)
+        reports: serde_json::from_str(&body)
+            .map_err(|e| format!("bad /reports JSON from {addr}: {e}"))?,
+    })
 }
 
 /// Minimal HTTP/1.1 GET over a std TcpStream (the server closes after
@@ -161,165 +147,93 @@ fn replay(path: &str) -> i32 {
             return 2;
         }
     };
-    let mut first: BTreeMap<String, ObsStreamLine> = BTreeMap::new();
-    let mut last: BTreeMap<String, ObsStreamLine> = BTreeMap::new();
+    let mut first: BTreeMap<neo_wire::Addr, NodeReport> = BTreeMap::new();
+    let mut last: BTreeMap<neo_wire::Addr, NodeReport> = BTreeMap::new();
     let mut lines = 0u64;
     for raw in text.lines().filter(|l| !l.trim().is_empty()) {
-        let Ok(line) = serde_json::from_str::<ObsStreamLine>(raw) else {
+        let Ok(report) = serde_json::from_str::<NodeReport>(raw) else {
             eprintln!("neo-top: skipping malformed line in {path}");
             continue;
         };
         lines += 1;
-        let node = line.node.to_string();
-        first.entry(node.clone()).or_insert_with(|| line.clone());
-        last.insert(node, line);
+        first.entry(report.node).or_insert_with(|| report.clone());
+        last.insert(report.node, report);
     }
     if last.is_empty() {
-        eprintln!("neo-top: no ObsStreamLine records in {path}");
+        eprintln!("neo-top: no NodeReport records in {path}");
         return 2;
     }
-    let prev = sample_from(first.values());
-    let cur = sample_from(last.values());
+    let edge = |reports: BTreeMap<neo_wire::Addr, NodeReport>| {
+        let reports: Vec<NodeReport> = reports.into_values().collect();
+        let at = reports.iter().map(|r| r.at).max().unwrap_or(0);
+        Sample {
+            at_s: at as f64 / 1e9,
+            reports,
+        }
+    };
+    let (prev, cur) = (edge(first), edge(last));
     println!(
         "replaying {path}: {lines} lines, {} node(s), {:.2}s window",
-        last.len(),
+        cur.reports.len(),
         cur.at_s - prev.at_s
     );
     print_frame(Some(&prev), &cur, false);
     0
 }
 
-/// Build a [`Sample`] from stream lines by rendering each snapshot to
-/// Prometheus text and re-parsing it — one parser for both sources.
-fn sample_from<'a>(lines: impl Iterator<Item = &'a ObsStreamLine>) -> Sample {
-    let mut s = Sample::default();
-    let mut max_at = 0u64;
-    for line in lines {
-        let node = line.node.to_string();
-        let rendered = render_prometheus(&[(node.clone(), line.snapshot.clone())]);
-        parse_exposition(&rendered, &mut s);
-        max_at = max_at.max(line.at);
-        s.health.push(HealthReport {
-            node,
-            healthy: true,
-            committed: line.snapshot.event(EventKind::Commit),
-            fsync_p99_ns: line
-                .snapshot
-                .histograms
-                .get("store.fsync_ns")
-                .map_or(0, |h| h.p99),
-            ..HealthReport::default()
-        });
-    }
-    s.at_s = max_at as f64 / 1e9;
-    s
-}
-
-// ------------------------------------------------------------- parsing
-
-/// Parse `k="v"` label pairs (our label values never contain commas).
-fn labels(s: &str) -> Vec<(&str, String)> {
-    s.split(',')
-        .filter_map(|part| {
-            let (k, v) = part.split_once('=')?;
-            let v = v
-                .trim_matches('"')
-                .replace("\\\"", "\"")
-                .replace("\\n", "\n")
-                .replace("\\\\", "\\");
-            Some((k, v))
-        })
-        .collect()
-}
-
-/// Fold a Prometheus text exposition into `sample`. Counters and gauges
-/// become `(node, family)` series; `neobft_events_total` fans out per
-/// `kind` label as `events/<kind>`; `_bucket` lines accumulate into
-/// cumulative histograms keyed by family.
-fn parse_exposition(text: &str, sample: &mut Sample) {
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((head, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(v) = value.parse::<f64>() else {
-            continue;
-        };
-        let (name, label_str) = match head.split_once('{') {
-            Some((n, rest)) => (n, rest.strip_suffix('}').unwrap_or(rest)),
-            None => (head, ""),
-        };
-        let pairs = labels(label_str);
-        let node = pairs
-            .iter()
-            .find(|(k, _)| *k == "node")
-            .map(|(_, v)| v.clone())
-            .unwrap_or_default();
-        if let Some(family) = name.strip_suffix("_bucket") {
-            if let Some((_, le)) = pairs.iter().find(|(k, _)| *k == "le") {
-                let le = if le == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    le.parse().unwrap_or(f64::INFINITY)
-                };
-                sample
-                    .buckets
-                    .entry((node, family.to_string()))
-                    .or_default()
-                    .push((le, v as u64));
-                continue;
-            }
-        }
-        if name == "neobft_events_total" {
-            if let Some((_, kind)) = pairs.iter().find(|(k, _)| *k == "kind") {
-                sample.counters.insert((node, format!("events/{kind}")), v);
-                continue;
-            }
-        }
-        sample.counters.insert((node, name.to_string()), v);
-    }
-    for b in sample.buckets.values_mut() {
-        b.sort_by(|a, b| a.0.total_cmp(&b.0));
-    }
-}
-
 // ------------------------------------------------------------ deriving
 
-/// Per-second rate of a counter series over the sample window.
-fn rate(prev: Option<&Sample>, cur: &Sample, node: &str, series: &str) -> f64 {
-    let key = (node.to_string(), series.to_string());
-    let now = cur.counters.get(&key).copied().unwrap_or(0.0);
+/// `node`'s report in the previous sample, if it was there.
+fn earlier<'a>(prev: Option<&'a Sample>, node: &NodeReport) -> Option<&'a NodeReport> {
+    prev?.reports.iter().find(|r| r.node == node.node)
+}
+
+/// Per-second rate of the events of `kinds` at `node` over the sample
+/// window.
+fn rate(prev: Option<&Sample>, cur: &Sample, node: &NodeReport, kinds: &[EventKind]) -> f64 {
     let Some(p) = prev else { return 0.0 };
     let dt = cur.at_s - p.at_s;
     if dt <= 0.0 {
         return 0.0;
     }
-    (now - p.counters.get(&key).copied().unwrap_or(0.0)).max(0.0) / dt
+    let count = |r: &NodeReport| kinds.iter().map(|k| r.snapshot.event(*k)).sum::<u64>();
+    let before = earlier(prev, node).map_or(0, count);
+    count(node).saturating_sub(before) as f64 / dt
+}
+
+/// The node's client-latency histogram, if it recorded one.
+fn latency(node: &NodeReport) -> Option<&HistogramSnapshot> {
+    node.snapshot.histograms.get("client.latency_ns")
 }
 
 /// Quantile of the values recorded *during the window*: subtract the
-/// previous cumulative bucket counts from the current ones, then walk
-/// the delta histogram. `None` when nothing was recorded. `u64::MAX`
-/// stands for the `+Inf` bucket.
-fn quantile_delta(prev: Option<&Buckets>, cur: &Buckets, q: f64) -> Option<u64> {
-    let prev_at = |le: f64| -> u64 {
-        prev.and_then(|b| b.iter().find(|(l, _)| *l == le))
-            .map_or(0, |(_, c)| *c)
-    };
-    let deltas: Buckets = cur
+/// previous snapshot's bucket counts from the current ones, then walk the
+/// delta histogram. The value is the floor of the bucket it falls in,
+/// like every quantile of a [`HistogramSnapshot`]; `None` when nothing
+/// was recorded.
+fn window_quantile(
+    prev: Option<&HistogramSnapshot>,
+    cur: &HistogramSnapshot,
+    q: f64,
+) -> Option<u64> {
+    let before: BTreeMap<u32, u64> = prev
+        .map(|p| p.buckets.iter().copied().collect())
+        .unwrap_or_default();
+    let deltas: Vec<(u32, u64)> = cur
+        .buckets
         .iter()
-        .map(|(le, c)| (*le, c.saturating_sub(prev_at(*le))))
+        .map(|(i, c)| (*i, c.saturating_sub(before.get(i).copied().unwrap_or(0))))
         .collect();
-    let total = deltas.last().map(|(_, c)| *c)?;
+    let total: u64 = deltas.iter().map(|(_, c)| c).sum();
     if total == 0 {
         return None;
     }
     let target = ((total as f64) * q).ceil() as u64;
-    for (le, c) in &deltas {
-        if *c >= target {
-            return Some(if le.is_finite() { *le as u64 } else { u64::MAX });
+    let mut acc = 0;
+    for (i, c) in &deltas {
+        acc += c;
+        if acc >= target {
+            return Some(bucket_floor(*i));
         }
     }
     None
@@ -336,20 +250,17 @@ fn fmt_rate(r: f64) -> String {
 }
 
 fn fmt_quantile(q: Option<u64>) -> String {
-    match q {
-        None => "-".to_string(),
-        Some(u64::MAX) => "+Inf".to_string(),
-        Some(v) => fmt_us(v),
-    }
+    q.map_or_else(|| "-".to_string(), fmt_us)
 }
 
 // ----------------------------------------------------------- rendering
 
 fn print_frame(prev: Option<&Sample>, cur: &Sample, clear: bool) {
+    use EventKind::*;
     if clear {
         print!("\x1b[2J\x1b[H");
     }
-    for h in &cur.health {
+    for h in cur.reports.iter().filter_map(|r| r.health.as_ref()) {
         if h.verify_poisoned {
             println!("** {}: VERIFY POOL POISONED **", h.node);
         }
@@ -385,30 +296,17 @@ fn print_frame(prev: Option<&Sample>, cur: &Sample, clear: bool) {
     );
     let mut total_commit = 0.0;
     let mut unhealthy = 0;
-    for h in &cur.health {
-        let n = &h.node;
-        let commit =
-            rate(prev, cur, n, "events/commit") + rate(prev, cur, n, "events/client_commit");
-        total_commit += rate(prev, cur, n, "events/commit");
-        let exec = rate(prev, cur, n, "events/speculative_execute");
-        let gaps = rate(prev, cur, n, "events/gap_find") + rate(prev, cur, n, "events/gap_commit");
-        let vc_key = |s: &str| (n.clone(), format!("events/{s}"));
-        let vc = cur
-            .counters
-            .get(&vc_key("view_change"))
-            .copied()
-            .unwrap_or(0.0)
-            + cur
-                .counters
-                .get(&vc_key("epoch_change"))
-                .copied()
-                .unwrap_or(0.0);
-        let lat_key = (n.clone(), "neobft_client_latency_ns".to_string());
-        let lat = cur.buckets.get(&lat_key);
-        let prev_lat = prev.and_then(|p| p.buckets.get(&lat_key));
-        let p50 = lat.and_then(|b| quantile_delta(prev_lat, b, 0.50));
-        let p99 = lat.and_then(|b| quantile_delta(prev_lat, b, 0.99));
-        let (role, ep_view, phase) = match &h.protocol {
+    for r in &cur.reports {
+        let commit = rate(prev, cur, r, &[Commit, ClientCommit]);
+        total_commit += rate(prev, cur, r, &[Commit]);
+        let exec = rate(prev, cur, r, &[SpeculativeExecute]);
+        let gaps = rate(prev, cur, r, &[GapFind, GapCommit]);
+        let vc = r.snapshot.event(ViewChange) + r.snapshot.event(EpochChange);
+        let prev_lat = earlier(prev, r).and_then(latency);
+        let p50 = latency(r).and_then(|h| window_quantile(prev_lat, h, 0.50));
+        let p99 = latency(r).and_then(|h| window_quantile(prev_lat, h, 0.99));
+        let protocol = r.health.as_ref().and_then(|h| h.protocol.as_ref());
+        let (role, ep_view, phase) = match protocol {
             Some(p) => (
                 p.role.clone(),
                 format!("{}/{}", p.epoch, p.view),
@@ -416,11 +314,19 @@ fn print_frame(prev: Option<&Sample>, cur: &Sample, clear: bool) {
             ),
             None => ("?".to_string(), "-".to_string(), "-".to_string()),
         };
-        if !h.healthy {
+        // An artifact that predates the health document says nothing
+        // either way: it is not counted unhealthy, and shows "-".
+        let healthy = r.health.as_ref().map(|h| h.healthy);
+        if healthy == Some(false) {
             unhealthy += 1;
         }
+        let fsync_p99 = r
+            .snapshot
+            .histograms
+            .get("store.fsync_ns")
+            .map_or(0, |h| h.p99);
         table.row(vec![
-            n.clone(),
+            r.node.to_string(),
             role,
             ep_view,
             phase,
@@ -428,20 +334,25 @@ fn print_frame(prev: Option<&Sample>, cur: &Sample, clear: bool) {
             fmt_rate(exec),
             fmt_quantile(p50),
             fmt_quantile(p99),
-            if h.fsync_p99_ns > 0 {
-                fmt_us(h.fsync_p99_ns)
+            if fsync_p99 > 0 {
+                fmt_us(fsync_p99)
             } else {
                 "-".to_string()
             },
             format!("{gaps:.1}"),
-            format!("{vc:.0}"),
-            if h.healthy { "yes" } else { "NO" }.to_string(),
+            vc.to_string(),
+            match healthy {
+                Some(true) => "yes",
+                Some(false) => "NO",
+                None => "-",
+            }
+            .to_string(),
         ]);
     }
     table.print();
     println!(
         "cluster: {} node(s), {} unhealthy, replica commit rate {}/s",
-        cur.health.len(),
+        cur.reports.len(),
         unhealthy,
         fmt_rate(total_commit)
     );
@@ -452,93 +363,69 @@ fn print_frame(prev: Option<&Sample>, cur: &Sample, clear: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_sim::obs::{Metrics, ObsConfig};
+    use neo_sim::obs::{Event, ExecSignals, Metrics, ObsConfig, TraceRead};
+    use neo_wire::{Addr, ReplicaId};
 
-    #[test]
-    fn parses_what_the_renderer_writes() {
-        let m = Metrics::new(ObsConfig::default());
-        m.incr("replica.messages_in");
-        m.incr("replica.messages_in");
-        for v in [100, 200, 300, 400_000] {
-            m.observe("client.latency_ns", v);
+    const R0: Addr = Addr::Replica(ReplicaId(0));
+
+    /// A sample at `at_s` holding `m`'s report as node `r0`.
+    fn sample(at_s: f64, m: &Metrics) -> Sample {
+        let report = NodeReport::build(0, R0, m, None, ExecSignals::default(), TraceRead::Copy);
+        Sample {
+            at_s,
+            reports: vec![report],
         }
-        let text = render_prometheus(&[("r0".to_string(), m.snapshot())]);
-        let mut s = Sample::default();
-        parse_exposition(&text, &mut s);
-        assert_eq!(
-            s.counters.get(&(
-                "r0".to_string(),
-                "neobft_replica_messages_in_total".to_string()
-            )),
-            Some(&2.0)
-        );
-        let buckets = s
-            .buckets
-            .get(&("r0".to_string(), "neobft_client_latency_ns".to_string()))
-            .expect("histogram parsed");
-        let (last_le, last_cum) = *buckets.last().unwrap();
-        assert!(last_le.is_infinite(), "+Inf bucket present");
-        assert_eq!(last_cum, 4, "cumulative count reaches the total");
-        // Cumulative counts are monotonically non-decreasing.
-        assert!(buckets.windows(2).all(|w| w[0].1 <= w[1].1));
-    }
-
-    #[test]
-    fn events_fan_out_per_kind() {
-        let text = "# TYPE neobft_events_total counter\n\
-                    neobft_events_total{node=\"r0\",kind=\"commit\"} 7\n\
-                    neobft_events_total{node=\"r0\",kind=\"view_change\"} 1\n";
-        let mut s = Sample::default();
-        parse_exposition(text, &mut s);
-        assert_eq!(
-            s.counters
-                .get(&("r0".to_string(), "events/commit".to_string())),
-            Some(&7.0)
-        );
-        assert_eq!(
-            s.counters
-                .get(&("r0".to_string(), "events/view_change".to_string())),
-            Some(&1.0)
-        );
     }
 
     #[test]
     fn rates_are_deltas_over_the_window() {
-        let mut prev = Sample {
-            at_s: 10.0,
-            ..Sample::default()
+        let m = Metrics::new(ObsConfig::default());
+        let commit = |slot| Event::Commit {
+            slot,
+            client: 0,
+            request: slot + 1,
         };
-        prev.counters
-            .insert(("r0".to_string(), "events/commit".to_string()), 1000.0);
-        let mut cur = Sample {
-            at_s: 12.0,
-            ..Sample::default()
-        };
-        cur.counters
-            .insert(("r0".to_string(), "events/commit".to_string()), 1500.0);
-        assert_eq!(rate(Some(&prev), &cur, "r0", "events/commit"), 250.0);
+        for slot in 0..1000 {
+            m.record_event(slot, R0, commit(slot));
+        }
+        let prev = sample(10.0, &m);
+        for slot in 1000..1500 {
+            m.record_event(slot, R0, commit(slot));
+        }
+        let cur = sample(12.0, &m);
+        let r0 = &cur.reports[0];
+        assert_eq!(rate(Some(&prev), &cur, r0, &[EventKind::Commit]), 250.0);
+        assert_eq!(rate(Some(&prev), &cur, r0, &[EventKind::GapFind]), 0.0);
         // No previous sample: no rate.
-        assert_eq!(rate(None, &cur, "r0", "events/commit"), 0.0);
+        assert_eq!(rate(None, &cur, r0, &[EventKind::Commit]), 0.0);
+        // A node that was not in the previous sample counts from zero.
+        let empty = Sample {
+            at_s: 10.0,
+            reports: Vec::new(),
+        };
+        assert_eq!(rate(Some(&empty), &cur, r0, &[EventKind::Commit]), 750.0);
     }
 
     #[test]
     fn quantiles_come_from_bucket_deltas() {
-        // Window: prev has 10 obs all <= 100; cur adds 90 obs <= 1000.
-        let prev: Buckets = vec![(100.0, 10), (1000.0, 10), (f64::INFINITY, 10)];
-        let cur: Buckets = vec![(100.0, 10), (1000.0, 100), (f64::INFINITY, 100)];
-        // All 90 new observations land in (100, 1000]: both quantiles 1000.
-        assert_eq!(quantile_delta(Some(&prev), &cur, 0.50), Some(1000));
-        assert_eq!(quantile_delta(Some(&prev), &cur, 0.99), Some(1000));
-        // Without the baseline, the old 10 fast obs drag p50 down.
-        assert_eq!(quantile_delta(None, &cur, 0.05), Some(100));
+        // Window: prev has 10 observations of 100; cur adds 90 of 1 000.
+        let m = Metrics::new(ObsConfig::default());
+        for _ in 0..10 {
+            m.observe("client.latency_ns", 100);
+        }
+        let prev = m.snapshot().histograms["client.latency_ns"].clone();
+        for _ in 0..90 {
+            m.observe("client.latency_ns", 1_000);
+        }
+        let cur = m.snapshot().histograms["client.latency_ns"].clone();
+        // All 90 new observations land in the bucket that holds 1 000
+        // ([992, 1 007], reported as its floor): both quantiles.
+        assert_eq!(window_quantile(Some(&prev), &cur, 0.50), Some(992));
+        assert_eq!(window_quantile(Some(&prev), &cur, 0.99), Some(992));
+        // Without the baseline, the old 10 fast observations drag p5 down.
+        assert_eq!(window_quantile(None, &cur, 0.05), Some(100));
         // Empty window: no quantile.
-        assert_eq!(quantile_delta(Some(&cur), &cur, 0.50), None);
-    }
-
-    #[test]
-    fn inf_bucket_renders_as_inf() {
-        let cur: Buckets = vec![(100.0, 0), (f64::INFINITY, 5)];
-        assert_eq!(quantile_delta(None, &cur, 0.99), Some(u64::MAX));
-        assert_eq!(fmt_quantile(Some(u64::MAX)), "+Inf");
+        assert_eq!(window_quantile(Some(&cur), &cur, 0.50), None);
+        assert_eq!(fmt_quantile(None), "-");
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Reads either a flight-recorder dump (a single `FlightDump` JSON
 //! object, as written by the chaos explorer or `neobft-node` on SIGINT)
-//! or a live-exporter stream (`ObsStreamLine` JSONL, one object per
-//! line); the format is sniffed from the content.
+//! or a live-exporter stream (`NodeReport` JSONL, one object per
+//! line); the format is sniffed from the content. Either way the input
+//! is a list of reports, and only the window every ring still covers is
+//! assembled.
 //!
 //! ```bash
 //! neo-trace target/flight/flight-seed-17.json            # dump header,
@@ -17,43 +19,42 @@
 //! waterfall, exiting non-zero if the artifact is unreadable or contains
 //! no assemblable span — the CI self-test for the artifact format.
 
-use neo_bench::trace::{assemble, render_waterfall, RequestTimeline};
-use neo_sim::{EventRecord, FlightDump, ObsStreamLine};
+use neo_bench::trace::{assemble, fmt_ns, render_waterfall, RequestTimeline};
+use neo_sim::obs::merged_events;
+use neo_sim::{FlightDump, NodeReport};
 
 fn fail(msg: &str) -> ! {
     eprintln!("neo-trace: {msg}");
     std::process::exit(1);
 }
 
-/// Parse the artifact into a merged event stream plus an optional dump
-/// header (present only for flight dumps).
-fn load(path: &str) -> (Vec<EventRecord>, Option<FlightDump>) {
+/// Parse the artifact into its reports plus, for a flight dump, the dump
+/// they were taken out of (its header).
+fn load(path: &str) -> (Vec<NodeReport>, Option<FlightDump>) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     // A flight dump is one JSON object; a stream is JSONL. Try the dump
     // first — a dump never parses as a one-line stream and vice versa.
-    if let Ok(dump) = serde_json::from_str::<FlightDump>(&text) {
-        let events = dump.merged_events();
-        return (events, Some(dump));
+    if let Ok(mut dump) = serde_json::from_str::<FlightDump>(&text) {
+        return (std::mem::take(&mut dump.nodes), Some(dump));
     }
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line: ObsStreamLine = serde_json::from_str(line).unwrap_or_else(|e| {
-            fail(&format!(
-                "{path}:{}: not a FlightDump or ObsStreamLine: {e}",
-                i + 1
-            ))
-        });
-        events.extend(line.events);
-    }
-    events.sort_by_key(|r| r.at);
-    (events, None)
+    let reports = text
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            serde_json::from_str(line).unwrap_or_else(|e| {
+                fail(&format!(
+                    "{path}:{}: not a FlightDump or NodeReport: {e}",
+                    i + 1
+                ))
+            })
+        })
+        .collect();
+    (reports, None)
 }
 
-fn print_header(dump: &FlightDump) {
+fn print_header(dump: &FlightDump, nodes: &[NodeReport]) {
     println!("flight dump: reason {:?} at {}ns", dump.reason, dump.at);
     for (k, v) in &dump.context {
         println!("  {k}: {v}");
@@ -61,11 +62,11 @@ fn print_header(dump: &FlightDump) {
     for v in &dump.violations {
         println!("  violation: {v}");
     }
-    let packets: usize = dump.nodes.iter().map(|n| n.packets.len()).sum();
+    let packets: usize = nodes.iter().map(|n| n.packets.len()).sum();
     println!(
         "  {} node(s), {} event(s), {} packet digest(s)",
-        dump.nodes.len(),
-        dump.merged_events().len(),
+        nodes.len(),
+        merged_events(nodes).len(),
         packets
     );
 }
@@ -122,8 +123,16 @@ fn main() {
         fail("usage: neo-trace [--list | --all | --request C:R | --check] <dump.json | stream.jsonl>");
     };
 
-    let (events, dump) = load(path);
-    let spans = assemble(&events);
+    let (reports, dump) = load(path);
+    let assembled = assemble(&reports);
+    if assembled.cut > 0 {
+        println!(
+            "{} span(s) starting before {} left out: a ring had evicted records there",
+            assembled.cut,
+            fmt_ns(assembled.covered_from)
+        );
+    }
+    let spans = assembled.spans;
 
     if flag("--check") {
         if spans.is_empty() {
@@ -139,7 +148,7 @@ fn main() {
     }
 
     if let Some(dump) = &dump {
-        print_header(dump);
+        print_header(dump, &reports);
     }
     if let Some(req) = value("--request") {
         let (c, r) = req

@@ -28,9 +28,10 @@ use neo_baselines::PbftClient;
 use neo_core::invariants::InvariantChecker;
 use neo_core::{BatchPolicy, Client, NeoConfig, Replica};
 use neo_crypto::{CostModel, SystemKeys};
+use neo_sim::obs::{merged_events, write_jsonl};
 use neo_sim::{
     ByzStrategy, ByzantineNode, CpuConfig, FaultPlan, FlightDump, NetConfig, NetStats, ObsConfig,
-    SimConfig, Simulator, MICROS, MILLIS,
+    SimConfig, Simulator, TraceRead, MICROS, MILLIS,
 };
 use neo_store::{MemDisk, MemStore};
 use neo_wire::{Addr, ClientId, ReplicaId};
@@ -355,7 +356,7 @@ pub struct RunHooks<'a> {
     /// and the outcome carries a `"sigint"` flight dump of whatever the
     /// rings held at that moment.
     pub stop: Option<&'a std::sync::atomic::AtomicBool>,
-    /// Live exporter: one [`neo_sim::ObsStreamLine`] JSON line per node
+    /// Live exporter: one [`neo_sim::NodeReport`] JSON line per node
     /// is appended at every slice boundary. Draining the trace rings
     /// into the stream means the stream (not the flight dump) is the
     /// complete event log when this is active.
@@ -365,10 +366,10 @@ pub struct RunHooks<'a> {
     /// Tests use it to corrupt replica state and exercise the
     /// violation → flight-dump path end to end.
     pub inject: Option<&'a mut dyn FnMut(&mut Simulator, u64)>,
-    /// Live scrape plane: when set, every node's metrics snapshot and
-    /// health document are published into the hub at every slice
-    /// boundary, so a [`neo_sim::TelemetryServer`] over the hub serves
-    /// `/metrics` and `/health` for the run as it advances.
+    /// Live scrape plane: when set, every node's report is published
+    /// into the hub at every slice boundary, so a
+    /// [`neo_sim::TelemetryServer`] over the hub serves the run as it
+    /// advances.
     pub telemetry: Option<&'a neo_sim::TelemetryHub>,
 }
 
@@ -416,12 +417,7 @@ pub fn run_neo_with(plan: &ChaosPlan, hooks: &mut RunHooks) -> ChaosOutcome {
         }
         checker.check(&correct_replicas(&sim, plan));
         snap(&sim, &checker, &mut flight);
-        if let Some(w) = hooks.obs_out.as_deref_mut() {
-            stream_obs(&mut sim, w);
-        }
-        if let Some(hub) = hooks.telemetry {
-            sim.publish_telemetry(hub);
-        }
+        export(&sim, hooks);
         if hooks
             .stop
             .map(|s| s.load(std::sync::atomic::Ordering::Relaxed))
@@ -448,12 +444,7 @@ pub fn run_neo_with(plan: &ChaosPlan, hooks: &mut RunHooks) -> ChaosOutcome {
         );
         checker.check(&correct_replicas(&sim, plan));
         snap(&sim, &checker, &mut flight);
-        if let Some(w) = hooks.obs_out.as_deref_mut() {
-            stream_obs(&mut sim, w);
-        }
-        if let Some(hub) = hooks.telemetry {
-            sim.publish_telemetry(hub);
-        }
+        export(&sim, hooks);
     }
 
     let committed = (0..plan.n_clients as u64)
@@ -497,35 +488,49 @@ pub fn run_neo_with(plan: &ChaosPlan, hooks: &mut RunHooks) -> ChaosOutcome {
     }
 }
 
-/// Append one [`neo_sim::ObsStreamLine`] JSON line per node, draining
-/// each node's trace ring into its line. Write errors are swallowed: a
-/// full disk must not abort the safety check itself.
-fn stream_obs(sim: &mut Simulator, w: &mut dyn std::io::Write) {
-    for line in sim.obs_stream_lines() {
-        if serde_json::to_writer(&mut *w, &line).is_err() || w.write_all(b"\n").is_err() {
-            return;
-        }
+/// Hand the cluster's reports to the live sinks the hooks name. The
+/// stream drains each node's trace ring into its line; its write errors
+/// are swallowed: a full disk must not abort the safety check itself.
+fn export(sim: &Simulator, hooks: &mut RunHooks) {
+    if hooks.obs_out.is_none() && hooks.telemetry.is_none() {
+        return;
     }
-    let _ = w.flush();
+    let trace = if hooks.obs_out.is_some() {
+        TraceRead::Drain
+    } else {
+        TraceRead::Copy
+    };
+    let reports = sim.reports(trace);
+    if let Some(w) = hooks.obs_out.as_deref_mut() {
+        let _ = write_jsonl(w, &reports);
+    }
+    if let Some(hub) = hooks.telemetry {
+        hub.publish(reports);
+    }
 }
 
-/// Freeze the cluster's flight-recorder rings into a self-contained
-/// dump: violations rendered, seed and serialized plan embedded so the
-/// artifact reproduces the run even detached from sweep output.
+/// Freeze the cluster's flight-recorder rings (without draining them —
+/// the run can continue) into a self-contained dump: violations rendered,
+/// seed and serialized plan embedded so the artifact reproduces the run
+/// even detached from sweep output.
 fn flight_snapshot(
     sim: &Simulator,
     plan: &ChaosPlan,
     checker: &InvariantChecker,
     reason: &str,
 ) -> FlightDump {
-    let mut dump = sim.flight_dump(reason);
-    dump.violations = checker.violations().iter().map(|v| v.to_string()).collect();
-    dump.context.insert("seed".into(), plan.seed.to_string());
-    dump.context.insert(
-        "plan".into(),
-        serde_json::to_string(plan).unwrap_or_else(|_| "<unserializable>".into()),
-    );
-    dump
+    let plan_json = serde_json::to_string(plan).unwrap_or_else(|_| "<unserializable>".into());
+    FlightDump {
+        reason: reason.to_string(),
+        at: sim.now(),
+        violations: checker.violations().iter().map(|v| v.to_string()).collect(),
+        context: [
+            ("seed".to_string(), plan.seed.to_string()),
+            ("plan".to_string(), plan_json),
+        ]
+        .into(),
+        nodes: sim.reports(TraceRead::Copy),
+    }
 }
 
 /// Run the same fault plan through PBFT as a control. Returns the
@@ -585,7 +590,7 @@ pub fn violation_report(outcome: &ChaosOutcome) -> String {
     // right before the checker tripped.
     if let Some(flight) = &outcome.flight {
         const TAIL: usize = 40;
-        let merged = flight.merged_events();
+        let merged = merged_events(&flight.nodes);
         let skipped = merged.len().saturating_sub(TAIL);
         if skipped > 0 {
             s.push_str(&format!(
@@ -679,13 +684,13 @@ mod tests {
         let plan = generate_plan(0);
         let mut sim = build_cluster(&plan);
         sim.run_until(2 * MILLIS);
-        let dump = sim.flight_dump("probe");
+        let nodes = sim.reports(TraceRead::Copy);
         assert!(
-            dump.nodes.iter().any(|n| !n.events.is_empty()),
+            nodes.iter().any(|n| !n.events.is_empty()),
             "event rings recording"
         );
         assert!(
-            dump.nodes.iter().any(|n| !n.packets.is_empty()),
+            nodes.iter().any(|n| !n.packets.is_empty()),
             "packet rings recording"
         );
         let outcome = run_neo(&plan);
@@ -708,8 +713,8 @@ mod tests {
         assert_eq!(flight.reason, "sigint");
         assert_eq!(flight.context["seed"], "0");
         // One slice ran before the flag was seen: the stream holds one
-        // valid ObsStreamLine per node.
-        let lines: Vec<neo_sim::ObsStreamLine> = String::from_utf8(sink)
+        // valid report per node.
+        let lines: Vec<neo_sim::NodeReport> = String::from_utf8(sink)
             .expect("utf8")
             .lines()
             .map(|l| serde_json::from_str(l).expect("valid JSONL"))
@@ -720,8 +725,8 @@ mod tests {
 
     #[test]
     fn telemetry_hook_publishes_every_node() {
-        use neo_sim::TelemetryProvider;
-        let hub = neo_sim::TelemetryHub::new();
+        use neo_sim::ReportSource;
+        let hub = neo_sim::TelemetryHub::default();
         let mut hooks = RunHooks {
             telemetry: Some(&hub),
             ..RunHooks::default()
@@ -729,8 +734,9 @@ mod tests {
         let plan = generate_plan(0);
         let outcome = run_neo_with(&plan, &mut hooks);
         assert!(outcome.violations.is_empty(), "seed 0 is clean");
-        assert_eq!(hub.len(), N + plan.n_clients + 2, "one doc per node");
-        let reports = hub.health();
+        let published = hub.reports();
+        assert_eq!(published.len(), N + plan.n_clients + 2, "one per node");
+        let reports: Vec<_> = published.iter().filter_map(|r| r.health.as_ref()).collect();
         let replicas: Vec<_> = reports.iter().filter(|r| r.protocol.is_some()).collect();
         assert_eq!(replicas.len(), N, "every replica reports protocol health");
         assert!(replicas.iter().all(|r| r.healthy), "{reports:?}");
@@ -739,7 +745,7 @@ mod tests {
             "commit events surface in the health docs"
         );
         // The scrape side renders the same publications.
-        let body = neo_sim::render_prometheus(&hub.scrape());
+        let body = neo_sim::render_prometheus(&published);
         assert!(body.contains("neobft_replica_messages_in_total"), "{body}");
     }
 

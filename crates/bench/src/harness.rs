@@ -116,7 +116,8 @@ impl AppKind {
 /// that a measurement window's requests survive to span assembly (each
 /// request emits a handful of events per node), shallow enough to keep a
 /// sweep's memory bounded. Rings keep the most recent records, so on
-/// overflow the report simply covers the tail of the run.
+/// overflow the report covers the tail of the run every ring still
+/// holds ([`crate::trace::TraceReport::covered_from`]).
 const DEFAULT_TRACE_CAPACITY: usize = 32_768;
 
 /// Parameters of one experiment run.
@@ -632,7 +633,8 @@ pub fn collect(sim: &Simulator, params: &RunParams) -> RunResult {
             .collect(),
     };
     if params.obs.trace_capacity > 0 {
-        result.trace = Some(crate::trace::TraceReport::from_events(&sim.trace_records()));
+        let reports = sim.reports(neo_sim::TraceRead::Copy);
+        result.trace = Some(crate::trace::TraceReport::from_reports(&reports));
     }
     result
 }

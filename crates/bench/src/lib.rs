@@ -8,6 +8,10 @@
 //!
 //! Run all of them with `cargo bench -p neo-bench`, or a single one with
 //! e.g. `cargo bench -p neo-bench --bench fig7`.
+//!
+//! [`trace`] assembles request timelines from `neo_sim::NodeReport`s — the
+//! one record a run's reports, a flight dump and an `--obs-out` stream all
+//! consist of; the `neo-trace` and `neo-top` bins are its two readers.
 
 pub mod chaos;
 pub mod harness;

@@ -1,7 +1,7 @@
 //! Request-lifecycle span assembly and waterfall rendering.
 //!
-//! The obs layer gives us per-node [`EventRecord`]s; this module stitches
-//! them into per-request timelines so a run can answer *where a request
+//! The obs layer gives us per-node [`NodeReport`]s; this module stitches
+//! their events into per-request timelines so a run can answer *where a request
 //! spent its time*: client multicast → sequencer stamp → replica delivery
 //! → speculative execution → reply → 2f+1 quorum at the client. Gap
 //! agreement and view changes show up as tagged detours, matching the
@@ -14,12 +14,16 @@
 //! * The replica side is keyed by log slot: `RequestReceived { slot }`,
 //!   `SpeculativeExecute { slot }`. The join between the two sides is
 //!   [`Event::Commit`], which carries `(slot, client, request)`.
-//! * The sequencer stamp is keyed by aom sequence number. In the initial
-//!   epoch `seq = slot + 1` (slots are 0-based, sequence numbers 1-based),
-//!   which is how the assembler attributes stamps to slots. After an
-//!   [`Event::EpochChange`] the per-epoch counter restarts and the rule no
-//!   longer holds, so stamp attribution is disabled for the whole trace —
-//!   the remaining phases stay correct.
+//! * The sequencer stamp is keyed by the aom header's `(epoch, seq)`, the
+//!   causal identity the packet already carries: `SequencerStamp` records
+//!   it at the sequencer, `RequestReceived` at the replica that delivers
+//!   the packet into a slot. Artifacts written before the events carried
+//!   the key (`seq` 0) assemble without a stamp milestone.
+//! * Only the window every ring still covers is reported. A report whose
+//!   ring evicted records since the node's previous report holds nothing
+//!   older than its first record; spans that start before the latest such
+//!   record are left out and counted ([`Assembled::cut`]) rather than
+//!   shown with holes.
 //! * Replica-side milestones take the *earliest* observation across
 //!   replicas: the waterfall shows the fastest replica's path, and the
 //!   `reply → commit` phase absorbs the wait for the 2f+1 quorum.
@@ -29,8 +33,9 @@
 //! reply) can legitimately render as 0ns; the real runtime shows nonzero
 //! durations there.
 
-use neo_sim::obs::{Event, EventRecord, Histogram, HistogramSnapshot};
+use neo_sim::obs::{merged_events, Event, Histogram, HistogramSnapshot, NodeReport};
 use neo_sim::Time;
+use neo_wire::Addr;
 use std::collections::BTreeMap;
 
 /// Phase names, in request-lifecycle order. These are the keys of
@@ -90,6 +95,11 @@ impl RequestTimeline {
         }
     }
 
+    /// When the span starts: its first observed milestone.
+    fn start(&self) -> Option<Time> {
+        self.milestones().iter().find_map(|(_, t)| *t)
+    }
+
     /// The lifecycle milestones in order, with display labels.
     pub fn milestones(&self) -> [(&'static str, Option<Time>); 6] {
         [
@@ -125,41 +135,65 @@ impl RequestTimeline {
     }
 }
 
-/// Stitch a merged, time-sorted event stream into per-request timelines,
-/// ordered by `(client, request)`. Spans are opened by either side: a
-/// `ClientSend` with no replica events still appears (uncommitted), and a
-/// replica `Commit` whose `ClientSend` was evicted from the ring appears
-/// with `send: None`.
-pub fn assemble(events: &[EventRecord]) -> Vec<RequestTimeline> {
+/// What [`assemble`] made of a set of reports.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Assembled {
+    /// The spans that start inside the covered window, ordered by
+    /// `(client, request)`.
+    pub spans: Vec<RequestTimeline>,
+    /// Start of the window every ring still covers (0: nothing evicted).
+    pub covered_from: Time,
+    /// Spans left out because they start before `covered_from`.
+    pub cut: u64,
+}
+
+/// Start of the window every ring still covers: a report whose ring
+/// evicted records since its node's previous report (`trace_dropped`
+/// grew) holds nothing older than its first record.
+fn coverage_start(reports: &[NodeReport]) -> Time {
+    let mut dropped: BTreeMap<Addr, u64> = BTreeMap::new();
+    let mut from = 0;
+    for r in reports {
+        let before = dropped.insert(r.node, r.snapshot.trace_dropped);
+        if r.snapshot.trace_dropped > before.unwrap_or(0) {
+            from = from.max(r.events.first().map_or(r.at, |e| e.at));
+        }
+    }
+    from
+}
+
+/// Stitch the reports' events into per-request timelines. Spans are
+/// opened by either side: a `ClientSend` with no replica events still
+/// appears (uncommitted), and a replica `Commit` whose `ClientSend` was
+/// never recorded appears with `send: None`.
+pub fn assemble(reports: &[NodeReport]) -> Assembled {
+    let events = merged_events(reports);
     // Pass 1: join keys. slot → (client, request) from replica Commits;
     // first Commit wins (replicas execute identical logs, so later ones
     // agree).
     let mut slot_req: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    let mut epoch_changed = false;
-    for r in events {
-        match r.event {
-            Event::Commit {
-                slot,
-                client,
-                request,
-            } => {
-                slot_req.entry(slot).or_insert((client, request));
-            }
-            Event::EpochChange { .. } => epoch_changed = true,
-            _ => {}
+    for r in &events {
+        if let Event::Commit {
+            slot,
+            client,
+            request,
+        } = r.event
+        {
+            slot_req.entry(slot).or_insert((client, request));
         }
     }
 
     // Pass 2: earliest observation per milestone.
     #[derive(Default)]
     struct SlotTimes {
+        stamp_key: Option<(u64, u64)>,
         deliver: Option<Time>,
         exec: Option<Time>,
         reply: Option<Time>,
         gap: bool,
     }
     let mut slots: BTreeMap<u64, SlotTimes> = BTreeMap::new();
-    let mut stamps: BTreeMap<u64, Time> = BTreeMap::new();
+    let mut stamps: BTreeMap<(u64, u64), Time> = BTreeMap::new();
     let mut spans: BTreeMap<(u64, u64), RequestTimeline> = BTreeMap::new();
     let mut view_changes: Vec<Time> = Vec::new();
     let earliest = |cur: &mut Option<Time>, t: Time| {
@@ -167,7 +201,7 @@ pub fn assemble(events: &[EventRecord]) -> Vec<RequestTimeline> {
             *cur = Some(t);
         }
     };
-    for r in events {
+    for r in &events {
         match r.event {
             Event::ClientSend { client, request } => {
                 let span = spans
@@ -181,11 +215,19 @@ pub fn assemble(events: &[EventRecord]) -> Vec<RequestTimeline> {
                     .or_insert_with(|| RequestTimeline::new(client, request));
                 earliest(&mut span.commit, r.at);
             }
-            Event::SequencerStamp { seq } => {
-                stamps.entry(seq).or_insert(r.at);
+            Event::SequencerStamp { epoch, seq } => {
+                stamps.entry((epoch, seq)).or_insert(r.at);
             }
-            Event::RequestReceived { slot: Some(slot) } => {
-                earliest(&mut slots.entry(slot).or_default().deliver, r.at);
+            Event::RequestReceived {
+                slot: Some(slot),
+                epoch,
+                seq,
+            } => {
+                let st = slots.entry(slot).or_default();
+                earliest(&mut st.deliver, r.at);
+                if seq != 0 {
+                    st.stamp_key.get_or_insert((epoch, seq));
+                }
             }
             Event::SpeculativeExecute { slot } => {
                 earliest(&mut slots.entry(slot).or_default().exec, r.at);
@@ -212,13 +254,11 @@ pub fn assemble(events: &[EventRecord]) -> Vec<RequestTimeline> {
         }
         span.slot = Some(*slot);
         if let Some(st) = slots.get(slot) {
+            span.stamp = st.stamp_key.and_then(|key| stamps.get(&key).copied());
             span.deliver = st.deliver;
             span.exec = st.exec;
             span.reply = st.reply;
             span.gap = st.gap;
-        }
-        if !epoch_changed {
-            span.stamp = stamps.get(&(slot + 1)).copied();
         }
     }
     for span in spans.values_mut() {
@@ -228,14 +268,26 @@ pub fn assemble(events: &[EventRecord]) -> Vec<RequestTimeline> {
             start.map(|s| *vc >= s).unwrap_or(false) && end.map(|e| *vc <= e).unwrap_or(true)
         });
     }
-    spans.into_values().collect()
+
+    let covered_from = coverage_start(reports);
+    let all = spans.len();
+    let spans: Vec<RequestTimeline> = spans
+        .into_values()
+        .filter(|s| s.start().is_some_and(|t| t >= covered_from))
+        .collect();
+    Assembled {
+        cut: (all - spans.len()) as u64,
+        spans,
+        covered_from,
+    }
 }
 
-/// Per-phase latency tables assembled from a run's event trace, reported
+/// Per-phase latency tables assembled from a run's reports, carried
 /// in `RunResult` (and its JSON view) next to the end-to-end numbers.
 #[derive(Clone, Debug, Default, PartialEq, serde::Serialize)]
 pub struct TraceReport {
-    /// Requests observed in the trace (either side of the span).
+    /// Requests observed inside the covered window (either side of the
+    /// span).
     pub requests: u64,
     /// Requests with a complete client lifecycle (send and commit).
     pub committed: u64,
@@ -243,16 +295,24 @@ pub struct TraceReport {
     pub gap_detours: u64,
     /// Requests overlapped by a view change.
     pub view_change_detours: u64,
+    /// Start of the window every ring still covers ([`Assembled`]).
+    pub covered_from: Time,
+    /// Requests left out because they start before `covered_from`.
+    pub cut: u64,
     /// Per-phase latency histograms (p50/p90/p99 and sparse buckets),
     /// keyed by [`PHASES`] names. Only observed phases appear.
     pub phases: BTreeMap<String, HistogramSnapshot>,
 }
 
 impl TraceReport {
-    /// Assemble spans from `events` and fold their phases into
+    /// Assemble spans from `reports` and fold their phases into
     /// histograms.
-    pub fn from_events(events: &[EventRecord]) -> TraceReport {
-        let spans = assemble(events);
+    pub fn from_reports(reports: &[NodeReport]) -> TraceReport {
+        let Assembled {
+            spans,
+            covered_from,
+            cut,
+        } = assemble(reports);
         let mut phases: BTreeMap<&'static str, Histogram> = BTreeMap::new();
         for span in &spans {
             for (name, dur) in span.phases() {
@@ -266,6 +326,8 @@ impl TraceReport {
             committed: spans.iter().filter(|s| s.committed()).count() as u64,
             gap_detours: spans.iter().filter(|s| s.gap).count() as u64,
             view_change_detours: spans.iter().filter(|s| s.view_change).count() as u64,
+            covered_from,
+            cut,
             phases: phases
                 .into_iter()
                 .map(|(k, h)| (k.to_string(), h.snapshot()))
@@ -349,10 +411,33 @@ pub fn render_waterfall(span: &RequestTimeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neo_wire::{Addr, ClientId, ReplicaId};
+    use neo_sim::obs::{EventRecord, ExecSignals, Metrics, ObsConfig, TraceRead};
+    use neo_wire::{ClientId, GroupId, ReplicaId};
 
     fn rec(at: Time, node: Addr, event: Event) -> EventRecord {
         EventRecord { at, node, event }
+    }
+
+    /// One report per node, each holding that node's records: what a
+    /// flight dump of rings that never overflowed looks like.
+    fn reports_of(events: &[EventRecord]) -> Vec<NodeReport> {
+        let mut rings: BTreeMap<Addr, Metrics> = BTreeMap::new();
+        for r in events {
+            rings
+                .entry(r.node)
+                .or_insert_with(|| Metrics::new(ObsConfig::default().with_trace(1024)))
+                .record_event(r.at, r.node, r.event);
+        }
+        rings
+            .iter()
+            .map(|(node, m)| {
+                NodeReport::build(0, *node, m, None, ExecSignals::default(), TraceRead::Copy)
+            })
+            .collect()
+    }
+
+    fn spans_of(events: &[EventRecord]) -> Vec<RequestTimeline> {
+        assemble(&reports_of(events)).spans
     }
 
     fn fast_path_events() -> Vec<EventRecord> {
@@ -369,9 +454,25 @@ mod tests {
                     request: 7,
                 },
             ),
-            rec(200, seq, Event::SequencerStamp { seq: 5 }),
-            rec(300, r0, Event::RequestReceived { slot: Some(4) }),
-            rec(310, r1, Event::RequestReceived { slot: Some(4) }),
+            rec(200, seq, Event::SequencerStamp { epoch: 0, seq: 5 }),
+            rec(
+                300,
+                r0,
+                Event::RequestReceived {
+                    slot: Some(4),
+                    epoch: 0,
+                    seq: 5,
+                },
+            ),
+            rec(
+                310,
+                r1,
+                Event::RequestReceived {
+                    slot: Some(4),
+                    epoch: 0,
+                    seq: 5,
+                },
+            ),
             rec(400, r0, Event::SpeculativeExecute { slot: 4 }),
             rec(
                 500,
@@ -404,12 +505,12 @@ mod tests {
 
     #[test]
     fn fast_path_span_assembles_every_phase() {
-        let spans = assemble(&fast_path_events());
+        let spans = spans_of(&fast_path_events());
         assert_eq!(spans.len(), 1);
         let s = &spans[0];
         assert_eq!((s.client, s.request, s.slot), (3, 7, Some(4)));
         assert_eq!(s.send, Some(100));
-        assert_eq!(s.stamp, Some(200), "stamp joined via seq = slot + 1");
+        assert_eq!(s.stamp, Some(200), "stamp joined by (epoch, seq)");
         assert_eq!(s.deliver, Some(300), "earliest replica wins");
         assert_eq!(s.exec, Some(400));
         assert_eq!(s.reply, Some(500), "earliest reply wins");
@@ -438,25 +539,137 @@ mod tests {
             Addr::Replica(ReplicaId(2)),
             Event::ViewChange { view: 1 },
         ));
-        let spans = assemble(&events);
+        let spans = spans_of(&events);
         assert!(spans[0].gap);
         assert!(spans[0].view_change);
-        let report = TraceReport::from_events(&events);
+        let report = TraceReport::from_reports(&reports_of(&events));
         assert_eq!(report.gap_detours, 1);
         assert_eq!(report.view_change_detours, 1);
     }
 
+    /// The lifecycle of request `request` of client 0, which the
+    /// sequencer stamps `(epoch, seq)` at `base + 10` and replica 0
+    /// delivers into `slot`; the client commits at `base + 100`.
+    fn lifecycle(base: Time, request: u64, slot: u64, epoch: u64, seq: u64) -> Vec<EventRecord> {
+        let client = Addr::Client(ClientId(0));
+        let r0 = Addr::Replica(ReplicaId(0));
+        let (c, s) = (0, Some(slot));
+        vec![
+            rec(base, client, Event::ClientSend { client: c, request }),
+            rec(
+                base + 10,
+                Addr::Sequencer(GroupId(0)),
+                Event::SequencerStamp { epoch, seq },
+            ),
+            rec(
+                base + 20,
+                r0,
+                Event::RequestReceived {
+                    slot: s,
+                    epoch,
+                    seq,
+                },
+            ),
+            rec(base + 30, r0, Event::SpeculativeExecute { slot }),
+            rec(
+                base + 40,
+                r0,
+                Event::Commit {
+                    slot,
+                    client: c,
+                    request,
+                },
+            ),
+            rec(
+                base + 100,
+                client,
+                Event::ClientCommit { client: c, request },
+            ),
+        ]
+    }
+
     #[test]
-    fn epoch_change_disables_stamp_attribution() {
-        let mut events = fast_path_events();
+    fn stamps_join_on_both_sides_of_an_epoch_change() {
+        // Slot 4 is (epoch 0, seq 5); the sequencer fails over and slot 5
+        // is the new epoch's first stamp, (epoch 1, seq 1): "seq = slot +
+        // 1" holds for neither trace-wide, the key the events carry does.
+        let mut events = lifecycle(1_000, 7, 4, 0, 5);
         events.push(rec(
-            50,
+            1_500,
             Addr::Replica(ReplicaId(0)),
             Event::EpochChange { epoch: 1 },
         ));
-        let spans = assemble(&events);
-        assert_eq!(spans[0].stamp, None, "seq = slot + 1 no longer holds");
+        events.extend(lifecycle(2_000, 8, 5, 1, 1));
+        let spans = spans_of(&events);
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].stamp, Some(1_010));
+        assert_eq!(spans[1].stamp, Some(2_010));
+        assert!(spans
+            .iter()
+            .all(|s| s.phases().iter().all(|(_, d)| d.is_some())));
+    }
+
+    #[test]
+    fn a_record_without_the_key_joins_no_stamp() {
+        // What an artifact written before the events carried (epoch, seq)
+        // parses to: seq 0. No stamp milestone, the other phases intact.
+        let mut events = fast_path_events();
+        for r in &mut events {
+            if let Event::RequestReceived { seq, .. } = &mut r.event {
+                *seq = 0;
+            }
+        }
+        let spans = spans_of(&events);
+        assert_eq!(spans[0].stamp, None);
         assert_eq!(spans[0].deliver, Some(300), "other phases unaffected");
+    }
+
+    #[test]
+    fn an_overflowed_ring_cuts_the_window_instead_of_leaving_holes() {
+        // Four requests, three replica events each, into a replica ring of
+        // six: the ring holds requests 3 and 4 only. The client's and the
+        // sequencer's rings hold everything.
+        let events: Vec<EventRecord> = (0..4u64)
+            .flat_map(|i| lifecycle(1_000 * (i + 1), i + 1, i, 0, i + 1))
+            .collect();
+        let replica = Addr::Replica(ReplicaId(0));
+        let small = Metrics::new(ObsConfig::default().with_trace(6));
+        for r in events.iter().filter(|r| r.node == replica) {
+            small.record_event(r.at, r.node, r.event);
+        }
+        let others: Vec<EventRecord> = events
+            .iter()
+            .filter(|r| r.node != replica)
+            .copied()
+            .collect();
+        let mut reports = reports_of(&others);
+        reports.push(NodeReport::build(
+            5_000,
+            replica,
+            &small,
+            None,
+            ExecSignals::default(),
+            TraceRead::Copy,
+        ));
+        assert_eq!(reports.last().unwrap().snapshot.trace_dropped, 6);
+
+        let assembled = assemble(&reports);
+        assert_eq!(assembled.covered_from, 3_020, "the ring's oldest record");
+        assert_eq!(assembled.cut, 3, "requests 1 to 3 start before it");
+        let report = TraceReport::from_reports(&reports);
+        assert_eq!((report.requests, report.committed, report.cut), (1, 1, 3));
+        for phase in PHASES {
+            assert_eq!(report.phases[phase].count, 1, "{phase} has no hole");
+        }
+        // A stream reports the same node again and again: only a report
+        // whose ring dropped records since the previous one moves the cut.
+        let mut later = reports.last().unwrap().clone();
+        later.events = lifecycle(9_000, 9, 9, 0, 10)
+            .into_iter()
+            .filter(|r| r.node == replica)
+            .collect();
+        reports.push(later);
+        assert_eq!(assemble(&reports).covered_from, 3_020);
     }
 
     #[test]
@@ -482,7 +695,7 @@ mod tests {
                 },
             ),
         ];
-        let spans = assemble(&events);
+        let spans = spans_of(&events);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].send, None);
         assert_eq!(spans[0].reply, Some(10));
@@ -507,7 +720,11 @@ mod tests {
             events.push(rec(
                 base + 100,
                 Addr::Replica(ReplicaId(0)),
-                Event::RequestReceived { slot: Some(i) },
+                Event::RequestReceived {
+                    slot: Some(i),
+                    epoch: 0,
+                    seq: 0,
+                },
             ));
             events.push(rec(
                 base + 200,
@@ -527,8 +744,9 @@ mod tests {
                 },
             ));
         }
-        let report = TraceReport::from_events(&events);
+        let report = TraceReport::from_reports(&reports_of(&events));
         assert_eq!(report.requests, 10);
+        assert_eq!((report.covered_from, report.cut), (0, 0));
         assert_eq!(report.committed, 10);
         let total = &report.phases["total"];
         assert_eq!(total.count, 10);
@@ -542,7 +760,7 @@ mod tests {
 
     #[test]
     fn waterfall_renders_phases_and_tags() {
-        let spans = assemble(&fast_path_events());
+        let spans = spans_of(&fast_path_events());
         let text = render_waterfall(&spans[0]);
         assert!(text.contains("request 3:7 (slot 4)"));
         assert!(text.contains("client_send"));

@@ -1,7 +1,10 @@
 //! Harness smoke tests: every protocol commits operations under the
 //! calibrated cost model, and headline orderings from the paper hold.
 
-use neo_bench::harness::{build, run_experiment, run_experiment_with, Protocol, RunParams};
+use neo_bench::harness::{
+    build, collect, run_experiment, run_experiment_with, Protocol, RunParams,
+};
+use neo_bench::trace::render_waterfall;
 use neo_core::{BatchPolicy, Replica};
 use neo_crypto::CostModel;
 use neo_sim::obs::Event;
@@ -90,25 +93,69 @@ fn results_are_deterministic() {
 
 #[test]
 fn clean_run_reports_per_phase_latency_tables() {
-    let r = result(Protocol::NeoHm);
+    // Four closed-loop clients commit some 12 500 requests; a replica
+    // emits three events per request into a 32 768-record ring, so the
+    // oldest eighth of the run is no longer held when the trace is
+    // assembled. The report covers the window every ring still holds —
+    // it says where that starts and how much it left out — and inside it
+    // what is true of a closed loop holds exactly.
+    let p = smoke(Protocol::NeoHm, 4);
+    let mut sim = build(&p);
+    sim.run_until(p.warmup + p.measure);
+    let r = collect(&sim, &p);
     let trace = r.trace.as_ref().expect("tracing is on by default");
     assert!(trace.committed > 50, "spans assembled: {}", trace.committed);
     assert_eq!(trace.gap_detours, 0, "clean run takes the fast path");
-    for phase in ["send_to_stamp", "reply_to_commit", "total"] {
+    assert!(
+        trace.cut > 0 && trace.covered_from > 0,
+        "the replica rings turned over: {} span(s) cut before {} ns",
+        trace.cut,
+        trace.covered_from
+    );
+    // Every committed span has all six phases; a span in flight at the
+    // horizon — at most one per client — has only its first few.
+    let in_flight = trace.requests - trace.committed;
+    assert!(in_flight <= p.n_clients as u64, "{in_flight} in flight");
+    for phase in neo_bench::trace::PHASES {
         let h = trace
             .phases
             .get(phase)
             .unwrap_or_else(|| panic!("phase {phase} observed"));
-        assert_eq!(h.count, trace.requests, "{phase} covers every span");
+        assert!(
+            trace.committed <= h.count && h.count <= trace.requests,
+            "{phase} covers every committed span: {} of {}",
+            h.count,
+            trace.committed
+        );
         assert!(h.p50 <= h.p99, "{phase} quantiles ordered");
+    }
+    for phase in ["reply_to_commit", "total"] {
+        assert_eq!(trace.phases[phase].count, trace.committed, "{phase}");
     }
     assert!(
         trace.phases["total"].p50 >= trace.phases["reply_to_commit"].p50,
         "total dominates any single phase"
     );
+    // Span by span, from the same run's reports: committed means whole,
+    // and the spans that are not committed are in flight, not holed.
+    let assembled = neo_bench::trace::assemble(&sim.reports(neo_sim::TraceRead::Copy));
+    assert_eq!(
+        (assembled.cut, assembled.covered_from),
+        (trace.cut, trace.covered_from)
+    );
+    for span in &assembled.spans {
+        let phases = span.phases();
+        if span.committed() {
+            assert!(phases.iter().all(|(_, d)| d.is_some()), "{span:?}");
+        } else {
+            assert!(span.send.is_some() && span.commit.is_none(), "{span:?}");
+            assert!(render_waterfall(span).contains("[incomplete]"));
+        }
+    }
     // The JSON view carries the tables.
     let json = serde_json::to_value(&r).expect("serialize");
     assert!(json["trace"]["phases"]["total"]["p99"].as_u64().is_some());
+    assert_eq!(json["trace"]["cut"].as_u64(), Some(trace.cut));
 
     // Tracing off → no trace report, numbers unchanged.
     let mut p = smoke(Protocol::NeoHm, 4);

@@ -2,8 +2,8 @@
 //! result to zero findings, plus ratchets: `Vec<u8>` stays out of
 //! `Context` send signatures now that payloads are shared
 //! `neo_wire::Payload` buffers, and the replica stays split — no file of
-//! `neo-core` regrows past 900 lines, and executor timer ids stay inside
-//! the replica's timer table.
+//! `neo-core` regrows past 900 lines, executor timer ids stay inside
+//! the replica's timer table, and a `/health` document has one builder.
 
 use std::path::{Path, PathBuf};
 
@@ -98,4 +98,34 @@ fn the_replica_stays_split_and_timer_ids_stay_in_the_timer_table() {
             );
         }
     }
+}
+
+#[test]
+fn a_health_document_is_built_in_exactly_one_place() {
+    // Ratchet for the one node report: `NodeReport::build` is the only
+    // code that fills in a `HealthReport`, so there is one definition of
+    // `healthy`. A second builder (an executor's own, a console's
+    // made-up one) is how the views of a node came to disagree before.
+    let root = workspace_root();
+    let files = neo_lint::collect_rs_files(&root).expect("collect workspace sources");
+    let mut builders = Vec::new();
+    for file in &files {
+        let rel = file.strip_prefix(&root).expect("collected under the root");
+        let product = rel.starts_with("crates") || rel.starts_with("src");
+        if !product || rel.components().any(|c| c.as_os_str() == "tests") {
+            continue;
+        }
+        let text = std::fs::read_to_string(file).expect("read source file");
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        let built =
+            code.matches("HealthReport {").count() - code.matches("struct HealthReport {").count();
+        if built > 0 {
+            builders.push(format!("{}: {built}", rel.display()));
+        }
+    }
+    assert_eq!(
+        builders,
+        ["crates/sim/src/obs.rs: 1"],
+        "`HealthReport {{` outside tests"
+    );
 }

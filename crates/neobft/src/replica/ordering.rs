@@ -521,7 +521,11 @@ impl Replica {
             return; // already have it (e.g. via view-change merge)
         }
         debug_assert_eq!(slot, self.log.len(), "aom delivers densely");
-        ctx.emit(Event::RequestReceived { slot: Some(slot.0) });
+        ctx.emit(Event::RequestReceived {
+            slot: Some(slot.0),
+            epoch: cert.packet.header.epoch.0,
+            seq: cert.packet.header.seq.0,
+        });
         // Write-ahead: the slot record is on the WAL buffer before the
         // reply below can leave (the executor fsyncs between them).
         self.log.append_request(cert);

@@ -44,11 +44,12 @@ pub use fault::{FaultPlan, FaultRule, PacketFate, FOREVER};
 pub use net::NetConfig;
 pub use node::{Context, Node, RecordingContext, TimerId};
 pub use obs::{
-    render_prometheus, Event, EventKind, EventRecord, FlightDump, HealthReport, Metrics,
-    MetricsSnapshot, NodeFlight, NodeHealth, ObsConfig, ObsStreamLine, PacketRecord,
+    render_prometheus, Event, EventKind, EventRecord, ExecSignals, FlightDump, HealthReport,
+    Metrics, MetricsSnapshot, NodeHealth, NodeReport, ObsConfig, PacketRecord, ReportSource,
+    TraceRead,
 };
 pub use sim::{SimConfig, Simulator};
 pub use stats::NetStats;
 pub use store::Store;
-pub use telemetry::{TelemetryHub, TelemetryProvider, TelemetryServer};
+pub use telemetry::{TelemetryHub, TelemetryServer};
 pub use time::{Duration, Time, MICROS, MILLIS, SECS};

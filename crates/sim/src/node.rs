@@ -235,7 +235,11 @@ mod tests {
     fn default_observability_is_inert() {
         let mut ctx = BareCtx;
         assert!(!ctx.metrics().enabled());
-        ctx.emit(crate::obs::Event::RequestReceived { slot: None });
+        ctx.emit(crate::obs::Event::RequestReceived {
+            slot: None,
+            epoch: 0,
+            seq: 0,
+        });
         ctx.metrics().incr("ignored");
         assert_eq!(ctx.metrics().counter("ignored"), 0);
         assert_eq!(

@@ -26,11 +26,25 @@
 //! slot, the tokio runtime one per node thread. Snapshots are plain
 //! serde-serializable values; [`MetricsSnapshot::merge`] folds the
 //! per-node views into cluster aggregates for bench reports.
+//!
+//! ## One record, many sinks
+//!
+//! What a node looks like at one instant is a [`NodeReport`], built in one
+//! place ([`NodeReport::build`]) from the registry, the node's own
+//! [`NodeHealth`] and the executor's [`ExecSignals`]. A [`ReportSource`]
+//! hands out the current reports of a deployment; every view of a running
+//! node is a plain function of `&[NodeReport]`: the JSONL stream
+//! ([`write_jsonl`]), `/metrics` ([`render_prometheus`]), `/health`
+//! ([`health_body`]), the flight artifact ([`FlightDump`],
+//! [`write_flight`]), and — in `neo-bench` — `neo-top`'s frame and the
+//! request-trace assembler behind `neo-trace`.
 
 use crate::time::Time;
 use neo_wire::Addr;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Per-node observability configuration.
@@ -92,20 +106,33 @@ impl ObsConfig {
 /// to correlate a trace with a request, log slot, or view — payloads stay
 /// out. Request-lifecycle events carry enough to be stitched into
 /// per-request timelines by the span assembler (`neo-bench`): the client
-/// side is keyed by `(client, request)`, the replica side by `slot`, and
-/// `Commit` carries all three so the assembler can join them.
+/// side is keyed by `(client, request)`, the replica side by `slot`,
+/// `Commit` carries all three so the assembler can join them, and the
+/// sequencer's stamp joins a slot by the aom header's `(epoch, seq)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Event {
     /// A client issued a new request (span start).
     ClientSend { client: u64, request: u64 },
     /// A client collected its 2f+1 matching-reply quorum (span end).
     ClientCommit { client: u64, request: u64 },
-    /// The sequencer stamped sequence number `seq` onto an aom packet.
-    SequencerStamp { seq: u64 },
+    /// The sequencer stamped `(epoch, seq)` onto an aom packet.
+    SequencerStamp {
+        #[serde(default)]
+        epoch: u64,
+        seq: u64,
+    },
     /// A client request reached the node's protocol layer. For NeoBFT
-    /// replicas this is the aom delivery into `slot`; protocols that
-    /// receive requests before assigning an order report `slot: None`.
-    RequestReceived { slot: Option<u64> },
+    /// replicas this is the aom delivery into `slot` of the packet stamped
+    /// `(epoch, seq)`; protocols that receive requests before assigning an
+    /// order report `slot: None`, and `seq` 0 (sequence numbers start at
+    /// 1) says the request carried no stamp.
+    RequestReceived {
+        slot: Option<u64>,
+        #[serde(default)]
+        epoch: u64,
+        #[serde(default)]
+        seq: u64,
+    },
     /// A slot was executed speculatively, ahead of the stable sync point.
     SpeculativeExecute { slot: u64 },
     /// An operation was executed and its reply issued (fast-path commit
@@ -691,18 +718,6 @@ impl Metrics {
             packets_dropped: inner.packets_dropped,
         }
     }
-
-    /// Freeze the registry into a [`NodeFlight`] — the per-node unit of a
-    /// flight-recorder dump: the metrics snapshot plus copies of the
-    /// event and packet rings.
-    pub fn flight(&self, node: Addr) -> NodeFlight {
-        NodeFlight {
-            node,
-            snapshot: self.snapshot(),
-            events: self.trace_snapshot(),
-            packets: self.packet_snapshot(),
-        }
-    }
 }
 
 fn event_slot(kind: EventKind) -> usize {
@@ -760,18 +775,143 @@ impl MetricsSnapshot {
     }
 }
 
-/// One node's contribution to a flight-recorder dump.
+/// Whether a report copies the event ring or empties it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceRead {
+    /// Leave the ring as it is: a flight dump or a scrape must not perturb
+    /// a node that keeps running.
+    Copy,
+    /// Take the records out, so successive reports of one node concatenate
+    /// into a complete bounded-loss event log (the JSONL stream).
+    Drain,
+}
+
+/// What only the executor can see of a node: the state of its verify
+/// stage. The simulator verifies inline and reports the default.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecSignals {
+    /// Verification tasks queued behind the worker pool.
+    pub verify_queue_depth: u64,
+    /// Verification tasks currently on worker threads.
+    pub verify_in_flight: u64,
+    /// A verify worker panicked; the node is stopping.
+    pub verify_poisoned: bool,
+}
+
+/// One node at one instant: the single record every sink reads. A line of
+/// the JSONL stream, a node of a [`FlightDump`] and an element of the
+/// telemetry server's `/reports` body are all this type. Artifacts written
+/// before it existed (a bare snapshot plus rings, or a stream line without
+/// packets) still parse: what they lack takes its default.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NodeFlight {
-    /// The node.
+pub struct NodeReport {
+    /// Time of the report on the clock its events carry: virtual time
+    /// under the simulator, nanoseconds since the node started on the
+    /// runtime.
+    #[serde(default)]
+    pub at: Time,
+    /// The reporting node.
     pub node: Addr,
-    /// Its metrics at dump time.
+    /// Its metrics at that moment.
     pub snapshot: MetricsSnapshot,
-    /// The most recent events (the trace ring's contents).
+    /// Its `/health` document (`None` only in artifacts that predate it).
+    #[serde(default)]
+    pub health: Option<HealthReport>,
+    /// The event ring's contents (see [`TraceRead`]).
+    #[serde(default)]
     pub events: Vec<EventRecord>,
     /// The most recent packet digests.
     #[serde(default)]
     pub packets: Vec<PacketRecord>,
+}
+
+impl NodeReport {
+    /// The one place a report — and the [`HealthReport`] inside it — is
+    /// built: `metrics` is the node's registry, `protocol` what the node
+    /// says of itself ([`crate::Node::health`]), `exec` what its executor
+    /// sees. Healthy means the verify stage is intact and the protocol
+    /// layer, if it reports a recovery phase, is `active`.
+    pub fn build(
+        at: Time,
+        node: Addr,
+        metrics: &Metrics,
+        protocol: Option<NodeHealth>,
+        exec: ExecSignals,
+        trace: TraceRead,
+    ) -> NodeReport {
+        let snapshot = metrics.snapshot();
+        let healthy = !exec.verify_poisoned
+            && protocol
+                .as_ref()
+                .and_then(|p| p.recovery_phase.as_deref())
+                .is_none_or(|phase| phase == "active");
+        let health = HealthReport {
+            node: node.to_string(),
+            healthy,
+            committed: snapshot.event(EventKind::Commit),
+            verify_queue_depth: exec.verify_queue_depth,
+            verify_in_flight: exec.verify_in_flight,
+            verify_poisoned: exec.verify_poisoned,
+            fsync_p99_ns: snapshot
+                .histograms
+                .get("store.fsync_ns")
+                .map_or(0, |h| h.p99),
+            protocol,
+        };
+        NodeReport {
+            at,
+            node,
+            snapshot,
+            health: Some(health),
+            events: match trace {
+                TraceRead::Copy => metrics.trace_snapshot(),
+                TraceRead::Drain => metrics.take_trace(),
+            },
+            packets: metrics.packet_snapshot(),
+        }
+    }
+}
+
+/// Where reports come from: the hub the single-threaded simulator
+/// publishes into ([`crate::telemetry::TelemetryHub`]), or the handles of
+/// the runtime's node threads.
+pub trait ReportSource: Send + Sync {
+    /// The current report of every node, event rings copied.
+    fn reports(&self) -> Vec<NodeReport>;
+}
+
+/// Several sources are one source: a deployment is the `Vec` of its nodes'
+/// handles.
+impl<S: ReportSource> ReportSource for Vec<S> {
+    fn reports(&self) -> Vec<NodeReport> {
+        self.iter().flat_map(|s| s.reports()).collect()
+    }
+}
+
+/// All reports' events merged into one timeline, sorted by time (ties
+/// keep report order — each ring is already chronological).
+pub fn merged_events(reports: &[NodeReport]) -> Vec<EventRecord> {
+    let mut all: Vec<EventRecord> = reports
+        .iter()
+        .flat_map(|n| n.events.iter().copied())
+        .collect();
+    all.sort_by_key(|r| r.at);
+    all
+}
+
+/// The JSONL sink (`--obs-out`): one line per report, then a flush.
+pub fn write_jsonl(w: &mut dyn Write, reports: &[NodeReport]) -> std::io::Result<()> {
+    for report in reports {
+        serde_json::to_writer(&mut *w, report)?;
+        w.write_all(b"\n")?;
+    }
+    w.flush()
+}
+
+/// The `/health` body: a JSON array of the reports' [`HealthReport`]s.
+pub fn health_body(reports: &[NodeReport]) -> String {
+    let docs: Vec<&HealthReport> = reports.iter().filter_map(|r| r.health.as_ref()).collect();
+    serde_json::to_string_pretty(&docs).unwrap_or_else(|_| "[]".to_string())
 }
 
 /// A flight-recorder dump: every node's recent events, packet digests,
@@ -791,45 +931,35 @@ pub struct FlightDump {
     #[serde(default)]
     pub context: BTreeMap<String, String>,
     /// Per-node recent history.
-    pub nodes: Vec<NodeFlight>,
+    pub nodes: Vec<NodeReport>,
 }
 
-impl FlightDump {
-    /// All nodes' events merged into one timeline, sorted by time (ties
-    /// keep per-node order — each node's ring is already chronological).
-    pub fn merged_events(&self) -> Vec<EventRecord> {
-        let mut all: Vec<EventRecord> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.events.iter().copied())
-            .collect();
-        all.sort_by_key(|r| r.at);
-        all
+/// Where flight artifacts go: `flag` if given, then `$NEO_FLIGHT_DIR`,
+/// then `target/flight`.
+pub fn flight_dir(flag: Option<&str>) -> PathBuf {
+    flag.map(PathBuf::from)
+        .or_else(|| std::env::var_os("NEO_FLIGHT_DIR").map(PathBuf::from))
+        .unwrap_or_else(|| PathBuf::from("target/flight"))
+}
+
+/// The flight sink: write `dump` as pretty JSON to `dir/file_name`
+/// (creating `dir`) and say on stderr, as `who`, where it went or why not.
+pub fn write_flight(who: &str, dir: &Path, file_name: &str, dump: &FlightDump) {
+    let path = dir.join(file_name);
+    let written = std::fs::create_dir_all(dir).and_then(|()| {
+        let json = serde_json::to_vec_pretty(dump)?;
+        std::fs::write(&path, json)
+    });
+    match written {
+        Ok(()) => eprintln!("{who}: flight recorder written to {}", path.display()),
+        Err(e) => eprintln!("{who}: cannot write {}: {e}", path.display()),
     }
-}
-
-/// One line of the live exporter's JSONL stream (`--obs-out`): a periodic
-/// per-node snapshot plus the events emitted since the previous line
-/// (the trace ring is drained into each line, so a stream's lines
-/// concatenate into a complete bounded-loss event log).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ObsStreamLine {
-    /// Time of the snapshot, nanoseconds since the run started.
-    pub at: Time,
-    /// The reporting node.
-    pub node: Addr,
-    /// Its metrics at that moment.
-    pub snapshot: MetricsSnapshot,
-    /// Events drained from the trace ring since the previous line.
-    #[serde(default)]
-    pub events: Vec<EventRecord>,
 }
 
 /// A node's self-reported protocol health: the sans-IO half of the
 /// `/health` document. Implementations of [`crate::Node::health`] fill
-/// this from their own state machine; the executor wraps it in a
-/// [`HealthReport`] with the signals only it can see (verify pool,
-/// durability lag).
+/// this from their own state machine; [`NodeReport::build`] wraps it in a
+/// [`HealthReport`] with the signals only the executor can see.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct NodeHealth {
     /// `"replica"`, `"client"`, `"sequencer"`, `"config"`, ...
@@ -860,8 +990,9 @@ pub struct NodeHealth {
 }
 
 /// The full `/health` document for one node: protocol health plus
-/// executor-side signals. Serialized as JSON by the telemetry server and
-/// consumed by `neo-top`.
+/// executor-side signals. Built only by [`NodeReport::build`]; serialized
+/// as JSON by the telemetry server and read by `neo-top` from the report
+/// that carries it.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct HealthReport {
     /// The node's address label (e.g. `"r0"`).
@@ -923,13 +1054,13 @@ fn bucket_upper(i: u32) -> Option<u64> {
     }
 }
 
-/// Render per-node metrics snapshots as Prometheus text exposition
+/// Render the reports' metrics snapshots as Prometheus text exposition
 /// (version 0.0.4): counters and per-kind event counts as `_total`
 /// counter families, gauges as gauges, histograms as cumulative-bucket
 /// histogram families with `le` bounds derived from the log-linear
 /// bucket layout. Every sample carries a `node` label; families are
 /// grouped so each `# TYPE` line appears exactly once per scrape.
-pub fn render_prometheus(sources: &[(String, MetricsSnapshot)]) -> String {
+pub fn render_prometheus(reports: &[NodeReport]) -> String {
     let mut out = String::new();
 
     // family name -> [(node, rendered value)]
@@ -938,8 +1069,9 @@ pub fn render_prometheus(sources: &[(String, MetricsSnapshot)]) -> String {
     let mut events: Vec<(String, String, u64)> = Vec::new(); // (node, kind, count)
     let mut hists: BTreeMap<String, Vec<(String, HistogramSnapshot)>> = BTreeMap::new();
 
-    for (node, snap) in sources {
-        let node = prom_label_escape(node);
+    for report in reports {
+        let node = prom_label_escape(&report.node.to_string());
+        let snap = &report.snapshot;
         for (k, v) in &snap.counters {
             counters
                 .entry(format!("neobft_{}_total", prom_name(k)))
@@ -1010,6 +1142,13 @@ pub fn render_prometheus(sources: &[(String, MetricsSnapshot)]) -> String {
 mod tests {
     use super::*;
     use neo_wire::ReplicaId;
+
+    const R0: Addr = Addr::Replica(ReplicaId(0));
+
+    /// `node`'s report over `m`, nothing said by protocol or executor.
+    fn report(node: Addr, m: &Metrics) -> NodeReport {
+        NodeReport::build(0, node, m, None, ExecSignals::default(), TraceRead::Copy)
+    }
 
     #[test]
     fn bucket_mapping_roundtrips() {
@@ -1173,7 +1312,15 @@ mod tests {
         m.incr("x");
         m.observe("h", 42);
         m.set_gauge("g", 7);
-        m.record_event(0, Addr::Config, Event::RequestReceived { slot: None });
+        m.record_event(
+            0,
+            Addr::Config,
+            Event::RequestReceived {
+                slot: None,
+                epoch: 0,
+                seq: 0,
+            },
+        );
         m.record_packet(0, Addr::Config, Addr::Config, b"ignored");
         assert_eq!(m.counter("x"), 0);
         assert_eq!(m.event_count(EventKind::RequestReceived), 0);
@@ -1269,11 +1416,10 @@ mod tests {
     #[test]
     fn flight_dump_round_trips_and_merges_events() {
         let m = Metrics::new(ObsConfig::flight_recorder());
-        let a = Addr::Replica(ReplicaId(0));
+        let a = R0;
         let b = Addr::Client(neo_wire::ClientId(1));
         m.record_event(20, a, commit(0));
         m.record_packet(5, b, a, b"payload");
-        let ma = m.flight(a);
         let mb = Metrics::new(ObsConfig::flight_recorder());
         mb.record_event(
             10,
@@ -1288,17 +1434,72 @@ mod tests {
             at: 30,
             violations: vec!["prefix divergence".into()],
             context: BTreeMap::new(),
-            nodes: vec![ma, mb.flight(b)],
+            nodes: vec![report(a, &m), report(b, &mb)],
         };
+        assert_eq!(dump.nodes[0].packets.len(), 1);
         let json = serde_json::to_string_pretty(&dump).expect("serialize");
         let back: FlightDump = serde_json::from_str(&json).expect("deserialize");
         assert_eq!(back, dump);
         // Merged timeline is time-sorted across nodes.
-        let merged = back.merged_events();
+        let merged = merged_events(&back.nodes);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].at, 10);
         assert_eq!(merged[0].node, b);
         assert_eq!(merged[1].at, 20);
+    }
+
+    #[test]
+    fn a_drained_report_leaves_the_ring_empty_and_a_copied_one_does_not() {
+        let m = Metrics::new(ObsConfig::flight_recorder());
+        m.record_event(1, R0, commit(0));
+        assert_eq!(report(R0, &m).events.len(), 1);
+        assert_eq!(
+            report(R0, &m).events.len(),
+            1,
+            "copying twice sees it twice"
+        );
+        let drained = NodeReport::build(2, R0, &m, None, ExecSignals::default(), TraceRead::Drain);
+        assert_eq!(drained.events.len(), 1);
+        assert!(report(R0, &m).events.is_empty());
+        // Counts are not the ring: the snapshot still says one commit.
+        assert_eq!(report(R0, &m).snapshot.event(EventKind::Commit), 1);
+    }
+
+    #[test]
+    fn healthy_means_verify_stage_intact_and_not_mid_recovery() {
+        let phase = |p: Option<&str>| {
+            Some(NodeHealth {
+                role: "replica".into(),
+                recovery_phase: p.map(str::to_string),
+                ..NodeHealth::default()
+            })
+        };
+        let poisoned = ExecSignals {
+            verify_poisoned: true,
+            ..ExecSignals::default()
+        };
+        let ok = ExecSignals::default();
+        for (protocol, exec, healthy) in [
+            (phase(Some("active")), ok, true),
+            (phase(None), ok, true), // never ran recovery
+            (phase(Some("fetching_checkpoint")), ok, false),
+            (phase(Some("active")), poisoned, false),
+            (None, ok, true), // a node that reports no protocol health
+            (None, poisoned, false),
+        ] {
+            let m = Metrics::default();
+            m.record_event(1, R0, commit(0));
+            m.observe("store.fsync_ns", 40);
+            let r = NodeReport::build(9, R0, &m, protocol.clone(), exec, TraceRead::Copy);
+            let h = r.health.expect("a built report carries its health");
+            assert_eq!(h.healthy, healthy, "{protocol:?} {exec:?}");
+            assert_eq!(
+                (h.node.as_str(), h.committed, h.fsync_p99_ns),
+                ("r0", 1, 40)
+            );
+            assert_eq!(h.verify_poisoned, exec.verify_poisoned);
+            assert_eq!(h.protocol, protocol);
+        }
     }
 
     #[test]
@@ -1311,7 +1512,7 @@ mod tests {
         for v in [3u64, 5, 70] {
             m.observe("store.fsync_ns", v);
         }
-        let text = render_prometheus(&[("r0".into(), m.snapshot())]);
+        let text = render_prometheus(&[report(R0, &m)]);
         // Values 3 and 5 land in exact linear buckets (le = value); 70
         // lands in the [70, 71] log-linear bucket (le = 71).
         let golden = "\
@@ -1341,13 +1542,7 @@ neobft_store_fsync_ns_count{node=\"r0\"} 3
         );
         assert_eq!(prom_name("9lives"), "_lives");
         assert_eq!(prom_name(""), "_");
-        let m = Metrics::new(ObsConfig::default());
-        m.incr("ops");
-        let text = render_prometheus(&[("a\"b\\c\n".into(), m.snapshot())]);
-        assert!(
-            text.contains("neobft_ops_total{node=\"a\\\"b\\\\c\\n\"} 1"),
-            "label not escaped: {text}"
-        );
+        assert_eq!(prom_label_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }
 
     #[test]
@@ -1358,7 +1553,7 @@ neobft_store_fsync_ns_count{node=\"r0\"} 3
         b.add("ops", 2);
         a.observe("lat", 10);
         b.observe("lat", 20);
-        let text = render_prometheus(&[("r0".into(), a.snapshot()), ("r1".into(), b.snapshot())]);
+        let text = render_prometheus(&[report(R0, &a), report(Addr::Replica(ReplicaId(1)), &b)]);
         assert_eq!(text.matches("# TYPE neobft_ops_total counter").count(), 1);
         assert_eq!(text.matches("# TYPE neobft_lat histogram").count(), 1);
         assert!(text.contains("neobft_ops_total{node=\"r0\"} 1"));
@@ -1371,7 +1566,7 @@ neobft_store_fsync_ns_count{node=\"r0\"} 3
         for v in [1u64, 1, 50, 900, 70_000, 5_000_000, u64::MAX] {
             m.observe("lat_ns", v);
         }
-        let text = render_prometheus(&[("r0".into(), m.snapshot())]);
+        let text = render_prometheus(&[report(R0, &m)]);
         let mut last = 0u64;
         let mut bucket_lines = 0;
         for line in text.lines() {
@@ -1394,7 +1589,10 @@ neobft_store_fsync_ns_count{node=\"r0\"} 3
         let mut snap = MetricsSnapshot::default();
         snap.histograms
             .insert("empty_ns".into(), HistogramSnapshot::default());
-        let text = render_prometheus(&[("r0".into(), snap)]);
+        let text = render_prometheus(&[NodeReport {
+            snapshot: snap,
+            ..report(R0, &Metrics::default())
+        }]);
         let golden = "\
 # TYPE neobft_empty_ns histogram
 neobft_empty_ns_bucket{node=\"r0\",le=\"+Inf\"} 0
@@ -1402,33 +1600,5 @@ neobft_empty_ns_sum{node=\"r0\"} 0
 neobft_empty_ns_count{node=\"r0\"} 0
 ";
         assert_eq!(text, golden);
-    }
-
-    #[test]
-    fn health_report_round_trips_json() {
-        let report = HealthReport {
-            node: "r1".into(),
-            healthy: true,
-            committed: 42,
-            verify_queue_depth: 3,
-            verify_in_flight: 1,
-            verify_poisoned: false,
-            fsync_p99_ns: 1500,
-            protocol: Some(NodeHealth {
-                role: "replica".into(),
-                epoch: 2,
-                view: 1,
-                recovery_phase: Some("active".into()),
-                recovery_base: Some(128),
-                last_exec: 512,
-                log_len: 520,
-                log_base: 256,
-                sync_point: 500,
-                stable_checkpoint: Some(384),
-            }),
-        };
-        let json = serde_json::to_string(&report).expect("serialize");
-        let back: HealthReport = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, report);
     }
 }

@@ -4,10 +4,7 @@ use crate::cpu::{CpuConfig, CpuState};
 use crate::fault::FaultPlan;
 use crate::net::NetConfig;
 use crate::node::{Context, Node, TimerId};
-use crate::obs::{
-    EventKind, EventRecord, FlightDump, HealthReport, Metrics, MetricsSnapshot, NodeFlight,
-    ObsConfig, ObsStreamLine,
-};
+use crate::obs::{ExecSignals, Metrics, MetricsSnapshot, NodeReport, ObsConfig, TraceRead};
 use crate::stats::NetStats;
 use crate::time::{Duration, Time};
 use neo_wire::{Addr, Payload};
@@ -221,104 +218,24 @@ impl Simulator {
         agg
     }
 
-    /// Drain every node's event-trace ring into one merged timeline,
-    /// sorted by time then node (the sort is stable, so each node's
-    /// records keep their ring order). The span assembler consumes this
-    /// once at the end of a run.
-    pub fn take_traces(&mut self) -> Vec<EventRecord> {
-        let mut all: Vec<EventRecord> = self
-            .nodes
-            .values()
-            .flat_map(|s| s.metrics.take_trace())
-            .collect();
-        all.sort_by_key(|r| (r.at, r.node));
-        all
-    }
-
-    /// Emit one live-exporter line per node: its metrics snapshot plus
-    /// the events accumulated since the previous call (each call drains
-    /// the trace rings, so successive lines concatenate into a complete
-    /// bounded-loss event log). Nodes are sorted for a deterministic
-    /// stream.
-    pub fn obs_stream_lines(&mut self) -> Vec<ObsStreamLine> {
-        let now = self.now;
-        let mut lines: Vec<ObsStreamLine> = self
+    /// Every node's [`NodeReport`] at the current virtual time, sorted by
+    /// address so streams and artifacts are deterministic. Verification is
+    /// inline under the simulator, so the executor signals are the default.
+    /// Slice-driven harnesses call this at slice boundaries and hand the
+    /// reports to their sinks: the JSONL stream (with [`TraceRead::Drain`],
+    /// so successive lines concatenate into one event log), a
+    /// [`TelemetryHub`](crate::telemetry::TelemetryHub), a flight dump.
+    pub fn reports(&self, trace: TraceRead) -> Vec<NodeReport> {
+        let mut reports: Vec<NodeReport> = self
             .nodes
             .iter()
-            .map(|(addr, slot)| ObsStreamLine {
-                at: now,
-                node: *addr,
-                snapshot: slot.metrics.snapshot(),
-                events: slot.metrics.take_trace(),
+            .map(|(addr, slot)| {
+                let (health, exec) = (slot.node.health(), ExecSignals::default());
+                NodeReport::build(self.now, *addr, &slot.metrics, health, exec, trace)
             })
             .collect();
-        lines.sort_by(|a, b| a.node.cmp(&b.node));
-        lines
-    }
-
-    /// Copy every node's event-trace ring into one merged timeline
-    /// without draining — the non-destructive sibling of
-    /// [`Simulator::take_traces`], for observers that only hold `&self`
-    /// (e.g. the harness collecting a report mid-inspection).
-    pub fn trace_records(&self) -> Vec<EventRecord> {
-        let mut all: Vec<EventRecord> = self
-            .nodes
-            .values()
-            .flat_map(|s| s.metrics.trace_snapshot())
-            .collect();
-        all.sort_by_key(|r| (r.at, r.node));
-        all
-    }
-
-    /// Freeze every node's recent history into a flight-recorder dump
-    /// (without draining the rings — the run can continue). Nodes are
-    /// sorted by address so the artifact is deterministic.
-    pub fn flight_dump(&self, reason: &str) -> FlightDump {
-        let mut nodes: Vec<NodeFlight> = self
-            .nodes
-            .iter()
-            .map(|(addr, slot)| slot.metrics.flight(*addr))
-            .collect();
-        nodes.sort_by(|a, b| a.node.cmp(&b.node));
-        FlightDump {
-            reason: reason.to_string(),
-            at: self.now,
-            violations: Vec::new(),
-            context: std::collections::BTreeMap::new(),
-            nodes,
-        }
-    }
-
-    /// Publish every node's current metrics snapshot and self-reported
-    /// health into `hub`, keyed by address. Slice-driven harnesses call
-    /// this at slice boundaries so a
-    /// [`TelemetryServer`](crate::telemetry::TelemetryServer) over the
-    /// hub serves fresh `/metrics` and `/health` while the run advances.
-    /// Verification is inline under the simulator, so the verify-pool
-    /// fields stay zero.
-    pub fn publish_telemetry(&self, hub: &crate::telemetry::TelemetryHub) {
-        for (addr, slot) in &self.nodes {
-            let snapshot = slot.metrics.snapshot();
-            let protocol = slot.node.health();
-            let healthy = protocol
-                .as_ref()
-                .and_then(|p| p.recovery_phase.as_deref())
-                .is_none_or(|phase| phase == "active");
-            let report = HealthReport {
-                node: addr.to_string(),
-                healthy,
-                committed: snapshot.event(EventKind::Commit),
-                verify_queue_depth: 0,
-                verify_in_flight: 0,
-                verify_poisoned: false,
-                fsync_p99_ns: snapshot
-                    .histograms
-                    .get("store.fsync_ns")
-                    .map_or(0, |h| h.p99),
-                protocol,
-            };
-            hub.publish(&addr.to_string(), snapshot, report);
-        }
+        reports.sort_by_key(|r| r.node);
+        reports
     }
 
     /// Serial CPU busy time of a node so far (utilization reporting).
@@ -919,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn flight_dump_captures_packets_and_merged_trace() {
+    fn reports_carry_packets_and_are_sorted_by_address() {
         let mut sim = ideal_sim(1);
         sim.set_obs(ObsConfig::flight_recorder());
         sim.add_node(
@@ -931,29 +848,28 @@ mod tests {
         );
         sim.add_node(B, Box::new(Echo { got: vec![] }));
         sim.run_until(10_000);
-        let dump = sim.flight_dump("test");
-        assert_eq!(dump.reason, "test");
-        assert_eq!(dump.at, 10_000);
-        assert_eq!(dump.nodes.len(), 2);
+        let reports = sim.reports(TraceRead::Copy);
+        assert_eq!(reports.len(), 2);
+        assert!(reports.iter().all(|r| r.at == 10_000));
         assert!(
-            dump.nodes.windows(2).all(|w| w[0].node < w[1].node),
+            reports.windows(2).all(|w| w[0].node < w[1].node),
             "nodes sorted by address"
         );
         // B received the ping, A received the echo; digests are recorded
         // at delivery.
-        let b = dump.nodes.iter().find(|n| n.node == B).unwrap();
+        let b = reports.iter().find(|n| n.node == B).unwrap();
         assert_eq!(b.packets.len(), 1);
         assert_eq!(b.packets[0].from, A);
         assert_eq!(b.packets[0].len, 1);
         assert_eq!(b.packets[0].digest, crate::obs::fnv1a(&[21]));
-        let a = dump.nodes.iter().find(|n| n.node == A).unwrap();
+        let a = reports.iter().find(|n| n.node == A).unwrap();
         assert_eq!(a.packets.len(), 1);
         assert_eq!(a.packets[0].digest, crate::obs::fnv1a(&[42]));
     }
 
     #[test]
-    fn take_traces_merges_and_drains() {
-        use crate::obs::Event;
+    fn drained_reports_hand_each_event_out_once() {
+        use crate::obs::{merged_events, Event};
 
         struct Emitter;
         impl Node for Emitter {
@@ -978,13 +894,22 @@ mod tests {
         sim.post(Addr::Config, B, vec![2], 0);
         sim.post(Addr::Config, A, vec![3], 500);
         sim.run_until(10_000);
-        let trace = sim.take_traces();
+        assert_eq!(merged_events(&sim.reports(TraceRead::Copy)).len(), 3);
+        let trace = merged_events(&sim.reports(TraceRead::Drain));
         assert_eq!(trace.len(), 3);
         assert!(
             trace.windows(2).all(|w| w[0].at <= w[1].at),
             "merged trace is time-sorted"
         );
-        assert!(sim.take_traces().is_empty(), "draining");
+        let after = sim.reports(TraceRead::Drain);
+        assert!(merged_events(&after).is_empty(), "draining");
+        assert_eq!(
+            after[0]
+                .snapshot
+                .event(crate::obs::EventKind::SpeculativeExecute),
+            2,
+            "counts are not the ring"
+        );
     }
 
     #[test]

@@ -1,102 +1,65 @@
 //! The live telemetry plane: a zero-dependency HTTP scrape endpoint.
 //!
 //! A [`TelemetryServer`] is one background thread owning a std
-//! [`TcpListener`] and answering two routes:
+//! [`TcpListener`] and answering three routes, each a function of the
+//! [`NodeReport`]s its [`ReportSource`] returns at request time:
 //!
-//! - `GET /metrics` — Prometheus text exposition rendered from every
-//!   source's current [`MetricsSnapshot`] (see
-//!   [`crate::obs::render_prometheus`]).
-//! - `GET /health` — a JSON array of [`HealthReport`]s, one per node.
+//! - `GET /metrics` — Prometheus text exposition
+//!   ([`crate::obs::render_prometheus`]), for real scrapers.
+//! - `GET /health` — a JSON array of
+//!   [`HealthReport`](crate::obs::HealthReport)s, one per node
+//!   ([`crate::obs::health_body`]).
+//! - `GET /reports` — the reports themselves as a JSON array: what
+//!   `neo-top --addr` polls.
 //!
 //! Everything else is 404. The server is deliberately minimal: it reads
 //! one request, writes one `Connection: close` response, and hangs up —
 //! exactly what a scraper or `curl` needs, with no keep-alive state to
-//! manage. It mirrors the `ObsExporter` lifecycle (spawn thread, signal
-//! stop through a channel, join on drop/stop).
+//! manage.
 //!
-//! Data flows in through a [`TelemetryProvider`]: the tokio runtime
-//! implements it over live per-node registries; the simulator-based
-//! harnesses publish snapshots into a [`TelemetryHub`] at slice
+//! The tokio runtime's node handles are one source; the simulator-based
+//! harnesses publish their reports into a [`TelemetryHub`] at slice
 //! boundaries and hand the hub to the server.
 
-use crate::obs::{render_prometheus, HealthReport, MetricsSnapshot};
+use crate::obs::{health_body, render_prometheus, NodeReport, ReportSource};
+use neo_wire::Addr;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Where a scrape's data comes from. `scrape` is called once per
-/// `/metrics` request (and once per `/health` request, for the
-/// histogram-derived fields), so implementations should snapshot live
-/// registries rather than cache.
-pub trait TelemetryProvider: Send + Sync {
-    /// Current `(node label, metrics snapshot)` per node.
-    fn scrape(&self) -> Vec<(String, MetricsSnapshot)>;
-
-    /// Current per-node health documents.
-    fn health(&self) -> Vec<HealthReport>;
-}
-
-/// A [`TelemetryProvider`] fed by periodic publication: harnesses that
-/// own their nodes (the simulator-driven chaos runner) push each node's
-/// snapshot and health document at slice boundaries; scrapes read the
-/// latest published state.
+/// A [`ReportSource`] fed by periodic publication: harnesses that own
+/// their nodes (the simulator-driven chaos runner) push every node's
+/// report at slice boundaries; requests read the latest published state.
 #[derive(Default)]
 pub struct TelemetryHub {
-    inner: Mutex<BTreeMap<String, (MetricsSnapshot, HealthReport)>>,
+    inner: Mutex<BTreeMap<Addr, NodeReport>>,
 }
 
 impl TelemetryHub {
-    /// Empty hub, ready to publish into.
-    pub fn new() -> Self {
-        TelemetryHub::default()
-    }
-
-    /// Install `node`'s latest snapshot and health document, replacing
-    /// any previous publication.
-    pub fn publish(&self, node: &str, snapshot: MetricsSnapshot, health: HealthReport) {
-        let mut inner = match self.inner.lock() {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<Addr, NodeReport>> {
+        match self.inner.lock() {
             Ok(g) => g,
             Err(p) => p.into_inner(),
-        };
-        inner.insert(node.to_string(), (snapshot, health));
-    }
-
-    /// Number of nodes that have published at least once.
-    pub fn len(&self) -> usize {
-        match self.inner.lock() {
-            Ok(g) => g.len(),
-            Err(p) => p.into_inner().len(),
         }
     }
 
-    /// Whether nothing has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Install each node's latest report, replacing its previous one (a
+    /// node that stopped reporting keeps its last).
+    pub fn publish(&self, reports: Vec<NodeReport>) {
+        let mut inner = self.lock();
+        for report in reports {
+            inner.insert(report.node, report);
+        }
     }
 }
 
-impl TelemetryProvider for TelemetryHub {
-    fn scrape(&self) -> Vec<(String, MetricsSnapshot)> {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        inner
-            .iter()
-            .map(|(k, (snap, _))| (k.clone(), snap.clone()))
-            .collect()
-    }
-
-    fn health(&self) -> Vec<HealthReport> {
-        let inner = match self.inner.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        inner.values().map(|(_, h)| h.clone()).collect()
+impl ReportSource for TelemetryHub {
+    fn reports(&self) -> Vec<NodeReport> {
+        self.lock().values().cloned().collect()
     }
 }
 
@@ -104,10 +67,8 @@ impl TelemetryProvider for TelemetryHub {
 /// is a few hundred bytes; anything larger is not a scraper.
 const MAX_REQUEST_BYTES: usize = 8192;
 
-/// The scrape endpoint's background thread. Dropping the handle without
-/// [`stop`](TelemetryServer::stop) leaves the thread running until
-/// process exit (same contract as a detached exporter); call `stop` for
-/// an orderly join.
+/// The scrape endpoint's background thread. Dropping the handle signals
+/// the thread and joins it.
 pub struct TelemetryServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -116,10 +77,10 @@ pub struct TelemetryServer {
 
 impl TelemetryServer {
     /// Bind `addr` (e.g. `"127.0.0.1:9464"`; port 0 picks a free port)
-    /// and start answering scrapes from `provider`.
+    /// and start answering scrapes from `source`.
     pub fn start<A: ToSocketAddrs>(
         addr: A,
-        provider: Arc<dyn TelemetryProvider>,
+        source: Arc<dyn ReportSource>,
     ) -> std::io::Result<TelemetryServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -128,7 +89,7 @@ impl TelemetryServer {
         let stop_thread = stop.clone();
         let join = std::thread::Builder::new()
             .name("neo-telemetry".into())
-            .spawn(move || serve_loop(listener, provider, stop_thread))?;
+            .spawn(move || serve_loop(listener, source, stop_thread))?;
         Ok(TelemetryServer {
             addr,
             stop,
@@ -141,13 +102,8 @@ impl TelemetryServer {
         self.addr
     }
 
-    /// Signal the thread to stop and join it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
+    /// Signal the thread to stop and join it (what dropping does).
+    pub fn stop(self) {}
 }
 
 impl Drop for TelemetryServer {
@@ -159,14 +115,14 @@ impl Drop for TelemetryServer {
     }
 }
 
-fn serve_loop(listener: TcpListener, provider: Arc<dyn TelemetryProvider>, stop: Arc<AtomicBool>) {
+fn serve_loop(listener: TcpListener, source: Arc<dyn ReportSource>, stop: Arc<AtomicBool>) {
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // One request per connection, served inline: scrape
                 // cadence is seconds, responses are small, and inline
                 // handling keeps the thread budget at exactly one.
-                let _ = serve_one(stream, provider.as_ref());
+                let _ = serve_one(stream, source.as_ref());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -178,13 +134,13 @@ fn serve_loop(listener: TcpListener, provider: Arc<dyn TelemetryProvider>, stop:
 
 /// Read one HTTP request (just the request line matters) and write the
 /// matching response.
-fn serve_one(mut stream: TcpStream, provider: &dyn TelemetryProvider) -> std::io::Result<()> {
+fn serve_one(mut stream: TcpStream, source: &dyn ReportSource) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     // Read until the blank line ending the header block (we ignore
-    // bodies: both routes are GET).
+    // bodies: every route is GET).
     loop {
         let n = stream.read(&mut chunk)?;
         if n == 0 {
@@ -220,28 +176,26 @@ fn serve_one(mut stream: TcpStream, provider: &dyn TelemetryProvider) -> std::io
     }
     // Strip any query string: scrapers may append one.
     let path = path.split('?').next().unwrap_or(path);
-    match path {
-        "/metrics" => {
-            let body = render_prometheus(&provider.scrape());
-            respond(
+    let (content_type, body) = match path {
+        "/metrics" => (
+            "text/plain; version=0.0.4; charset=utf-8",
+            render_prometheus(&source.reports()),
+        ),
+        "/health" => ("application/json", health_body(&source.reports())),
+        "/reports" => (
+            "application/json",
+            serde_json::to_string(&source.reports()).unwrap_or_else(|_| "[]".to_string()),
+        ),
+        _ => {
+            return respond(
                 &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
+                "404 Not Found",
+                "text/plain",
+                "routes: /metrics /health /reports",
             )
         }
-        "/health" => {
-            let reports = provider.health();
-            let body = serde_json::to_string_pretty(&reports).unwrap_or_else(|_| "[]".to_string());
-            respond(&mut stream, "200 OK", "application/json", &body)
-        }
-        _ => respond(
-            &mut stream,
-            "404 Not Found",
-            "text/plain",
-            "routes: /metrics /health",
-        ),
-    }
+    };
+    respond(&mut stream, "200 OK", content_type, &body)
 }
 
 fn respond(
@@ -262,7 +216,7 @@ fn respond(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{Metrics, ObsConfig};
+    use crate::obs::{Event, ExecSignals, HealthReport, Metrics, ObsConfig, TraceRead};
 
     /// Minimal scrape client (tests only): GET `path`, return the body.
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -277,26 +231,35 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
-    fn hub_with_one_node() -> Arc<TelemetryHub> {
-        let hub = Arc::new(TelemetryHub::new());
-        let m = Metrics::new(ObsConfig::default());
-        m.add("ops", 5);
-        hub.publish(
-            "r0",
-            m.snapshot(),
-            HealthReport {
-                node: "r0".into(),
-                healthy: true,
-                committed: 5,
-                ..HealthReport::default()
-            },
-        );
+    /// A hub holding one report of `r0` with `ops` at 5 and `commits`
+    /// commit events.
+    fn hub_with_one_node(commits: u64) -> Arc<TelemetryHub> {
+        let hub = Arc::new(TelemetryHub::default());
+        hub.publish(vec![r0_report(5, commits)]);
         hub
     }
 
+    fn r0_report(ops: u64, commits: u64) -> NodeReport {
+        let node = Addr::Replica(neo_wire::ReplicaId(0));
+        let m = Metrics::new(ObsConfig::default());
+        m.add("ops", ops);
+        for slot in 0..commits {
+            m.record_event(
+                slot,
+                node,
+                Event::Commit {
+                    slot,
+                    client: 0,
+                    request: slot + 1,
+                },
+            );
+        }
+        NodeReport::build(7, node, &m, None, ExecSignals::default(), TraceRead::Copy)
+    }
+
     #[test]
-    fn serves_metrics_and_health() {
-        let hub = hub_with_one_node();
+    fn serves_metrics_health_and_reports() {
+        let hub = hub_with_one_node(3);
         let server = TelemetryServer::start("127.0.0.1:0", hub.clone()).expect("bind");
         let addr = server.local_addr();
 
@@ -304,14 +267,26 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("text/plain"), "{head}");
         assert!(body.contains("neobft_ops_total{node=\"r0\"} 5"), "{body}");
+        let commits = "neobft_events_total{node=\"r0\",kind=\"commit\"} 3";
+        assert!(body.contains(commits), "{body}");
 
         let (head, body) = http_get(addr, "/health");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("application/json"), "{head}");
-        let reports: Vec<HealthReport> = serde_json::from_str(&body).expect("health JSON");
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].node, "r0");
-        assert_eq!(reports[0].committed, 5);
+        let docs: Vec<HealthReport> = serde_json::from_str(&body).expect("health JSON");
+        assert_eq!(docs.len(), 1);
+        assert_eq!((docs[0].node.as_str(), docs[0].committed), ("r0", 3));
+
+        let (head, body) = http_get(addr, "/reports");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        let reports: Vec<NodeReport> = serde_json::from_str(&body).expect("reports JSON");
+        assert_eq!(
+            reports,
+            hub.reports(),
+            "the route serves the source as it is"
+        );
+        let served = reports[0].snapshot.event(crate::obs::EventKind::Commit);
+        assert_eq!(served, 3, "the three routes agree");
 
         let (head, _) = http_get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
@@ -321,29 +296,19 @@ mod tests {
 
     #[test]
     fn scrapes_see_fresh_publications() {
-        let hub = hub_with_one_node();
+        let hub = hub_with_one_node(0);
         let server = TelemetryServer::start("127.0.0.1:0", hub.clone()).expect("bind");
         let addr = server.local_addr();
-        let m = Metrics::new(ObsConfig::default());
-        m.add("ops", 9);
-        hub.publish(
-            "r0",
-            m.snapshot(),
-            HealthReport {
-                node: "r0".into(),
-                healthy: true,
-                committed: 9,
-                ..HealthReport::default()
-            },
-        );
+        hub.publish(vec![r0_report(9, 0)]);
         let (_, body) = http_get(addr, "/metrics");
         assert!(body.contains("neobft_ops_total{node=\"r0\"} 9"), "{body}");
+        assert_eq!(hub.reports().len(), 1, "a node's report replaces its last");
         server.stop();
     }
 
     #[test]
     fn rejects_non_get() {
-        let hub = hub_with_one_node();
+        let hub = hub_with_one_node(0);
         let server = TelemetryServer::start("127.0.0.1:0", hub).expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream

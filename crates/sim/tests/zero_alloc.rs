@@ -120,5 +120,5 @@ fn enabled_registry_records_what_the_disabled_one_ignores() {
     assert_eq!(snap.counters["runtime.rx_packets"], 1);
     assert_eq!(snap.histograms["handler_ns"].count, 1);
     assert_eq!(snap.events["speculative_execute"], 1);
-    assert_eq!(m.flight(Addr::Replica(ReplicaId(0))).packets.len(), 1);
+    assert_eq!(m.packet_snapshot().len(), 1);
 }

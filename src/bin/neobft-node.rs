@@ -27,9 +27,9 @@ use neobft::app::{App, EchoApp, EchoWorkload, KvApp, Workload, YcsbConfig, YcsbG
 use neobft::core::{Client, NeoConfig, Replica};
 use neobft::crypto::{CostModel, SystemKeys};
 use neobft::runtime::{
-    try_spawn_node_with_obs, AddressBook, NodeHandle, ObsExporter, RuntimeTelemetry,
+    try_spawn_node_with_obs, AddressBook, NodeHandle, NodeReporter, ObsExporter,
 };
-use neobft::sim::obs::{FlightDump, ObsConfig};
+use neobft::sim::obs::{flight_dir, write_flight, FlightDump, ObsConfig, ReportSource};
 use neobft::sim::TelemetryServer;
 use neobft::wire::{Addr, ClientId, GroupId, ReplicaId};
 use std::path::PathBuf;
@@ -72,8 +72,8 @@ fn usage() -> ! {
            --run-secs S     how long to keep serving (default 30)\n\
            --obs-out PATH   stream live per-node metrics JSONL to PATH\n\
            --telemetry-addr A\n\
-                            serve GET /metrics (Prometheus) and /health\n\
-                            (JSON) on A, e.g. 127.0.0.1:9464\n\
+                            serve GET /metrics (Prometheus), /health and\n\
+                            /reports (JSON) on A, e.g. 127.0.0.1:9464\n\
          SIGINT dumps the flight recorder to $NEO_FLIGHT_DIR (default\n\
          target/flight) before exiting."
     );
@@ -277,9 +277,9 @@ fn arm_sigint() -> mpsc::Receiver<()> {
     rx
 }
 
-/// Serve for `secs`, or less if SIGINT arrives. Returns true on
+/// Wait for `secs`, or less if SIGINT arrives. Returns true on
 /// interrupt.
-fn serve(rx: &mpsc::Receiver<()>, secs: u64) -> bool {
+fn interrupted(rx: &mpsc::Receiver<()>, secs: u64) -> bool {
     match rx.recv_timeout(Duration::from_secs(secs)) {
         Ok(()) => true,
         Err(mpsc::RecvTimeoutError::Timeout) => false,
@@ -291,73 +291,49 @@ fn serve(rx: &mpsc::Receiver<()>, secs: u64) -> bool {
     }
 }
 
-/// Freeze every handle's flight-recorder rings into one JSON artifact
-/// under `$NEO_FLIGHT_DIR` (default `target/flight`).
-fn write_flight(handles: &[&NodeHandle], reason: &str) {
-    let dir = std::env::var_os("NEO_FLIGHT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/flight"));
-    let at = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let mut context = std::collections::BTreeMap::new();
-    context.insert("source".to_string(), "neobft-node".to_string());
-    let dump = FlightDump {
-        reason: reason.to_string(),
-        at,
-        violations: Vec::new(),
-        context,
-        nodes: handles.iter().map(|h| h.flight()).collect(),
-    };
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("neobft-node: cannot create {}: {e}", dir.display());
-        return;
+/// Serve for `secs` with the sinks the flags ask for over `handles`: the
+/// JSONL stream (`--obs-out`), the scrape endpoint (`--telemetry-addr`),
+/// and, on SIGINT, the flight artifact under `$NEO_FLIGHT_DIR` (default
+/// `target/flight`).
+fn serve(opts: &Opts, sigint: &mpsc::Receiver<()>, secs: u64, handles: &[&NodeHandle]) {
+    let nodes: Vec<NodeReporter> = handles.iter().map(|h| h.reporter()).collect();
+    let exporter = opts.obs_out.as_deref().and_then(|path| {
+        ObsExporter::start(nodes.clone(), path, Duration::from_millis(250))
+            .inspect_err(|e| {
+                eprintln!("neobft-node: cannot open --obs-out {}: {e}", path.display())
+            })
+            .ok()
+    });
+    let telemetry = opts.telemetry_addr.as_deref().and_then(|addr| {
+        TelemetryServer::start(addr, Arc::new(nodes.clone()))
+            .inspect_err(|e| eprintln!("neobft-node: cannot bind --telemetry-addr {addr}: {e}"))
+            .ok()
+    });
+    if let Some(server) = &telemetry {
+        println!(
+            "telemetry on http://{}/metrics, /health and /reports",
+            server.local_addr()
+        );
     }
-    let path = dir.join(format!("flight-node-{}.json", std::process::id()));
-    match serde_json::to_vec_pretty(&dump) {
-        Ok(json) => match std::fs::write(&path, json) {
-            Ok(()) => eprintln!("neobft-node: flight recorder written to {}", path.display()),
-            Err(e) => eprintln!("neobft-node: cannot write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("neobft-node: cannot serialize flight dump: {e}"),
+    if interrupted(sigint, secs) {
+        let at = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0);
+        let dump = FlightDump {
+            reason: "sigint".to_string(),
+            at,
+            violations: Vec::new(),
+            context: [("source".to_string(), "neobft-node".to_string())].into(),
+            nodes: nodes.reports(),
+        };
+        let name = format!("flight-node-{}.json", std::process::id());
+        write_flight("neobft-node", &flight_dir(None), &name, &dump);
     }
-}
-
-/// Start the live exporter over `handles` if `--obs-out` was given.
-fn start_exporter(opts: &Opts, handles: &[&NodeHandle]) -> Option<ObsExporter> {
-    let path = opts.obs_out.as_deref()?;
-    match ObsExporter::start(
-        handles.iter().map(|h| h.obs_source()).collect(),
-        path,
-        Duration::from_millis(250),
-    ) {
-        Ok(e) => Some(e),
-        Err(e) => {
-            eprintln!("neobft-node: cannot open --obs-out {}: {e}", path.display());
-            None
-        }
+    if let Some(e) = exporter {
+        e.stop();
     }
-}
-
-/// Serve the scrape endpoint over `handles` if `--telemetry-addr` was
-/// given.
-fn start_telemetry(opts: &Opts, handles: &[&NodeHandle]) -> Option<TelemetryServer> {
-    let addr = opts.telemetry_addr.as_deref()?;
-    let provider = Arc::new(RuntimeTelemetry::from_handles(handles.iter().copied()));
-    match TelemetryServer::start(addr, provider) {
-        Ok(server) => {
-            println!(
-                "telemetry on http://{}/metrics and /health",
-                server.local_addr()
-            );
-            Some(server)
-        }
-        Err(e) => {
-            eprintln!("neobft-node: cannot bind --telemetry-addr {addr}: {e}");
-            None
-        }
-    }
+    drop(telemetry);
 }
 
 fn report_client(node: Box<dyn neobft::sim::Node>) {
@@ -386,17 +362,7 @@ fn main() {
     match role.as_str() {
         "replica" => {
             let h = spawn_replica(id.unwrap() as u32, &opts, &book, &keys);
-            let exporter = start_exporter(&opts, &[&h]);
-            let telemetry = start_telemetry(&opts, &[&h]);
-            if serve(&sigint, opts.run_secs) {
-                write_flight(&[&h], "sigint");
-            }
-            if let Some(e) = exporter {
-                e.stop();
-            }
-            if let Some(t) = telemetry {
-                t.stop();
-            }
+            serve(&opts, &sigint, opts.run_secs, &[&h]);
             let node = h.try_shutdown().expect("node joins");
             let replica = node.as_any().downcast_ref::<Replica>().expect("replica");
             println!(
@@ -409,33 +375,18 @@ fn main() {
         }
         "sequencer" => {
             let (config_h, seq_h) = spawn_sequencer(&opts, &book, &keys);
-            let exporter = start_exporter(&opts, &[&config_h, &seq_h]);
-            let telemetry = start_telemetry(&opts, &[&config_h, &seq_h]);
-            if serve(&sigint, opts.run_secs) {
-                write_flight(&[&config_h, &seq_h], "sigint");
-            }
-            if let Some(e) = exporter {
-                e.stop();
-            }
-            if let Some(t) = telemetry {
-                t.stop();
-            }
+            serve(&opts, &sigint, opts.run_secs, &[&config_h, &seq_h]);
             seq_h.try_shutdown().expect("sequencer joins");
             config_h.try_shutdown().expect("config service joins");
         }
         "client" => {
             let h = spawn_client(id.unwrap(), &opts, &book, &keys);
-            let exporter = start_exporter(&opts, &[&h]);
-            let telemetry = start_telemetry(&opts, &[&h]);
-            if serve(&sigint, opts.run_secs.min(opts.ops / 100 + 10)) {
-                write_flight(&[&h], "sigint");
-            }
-            if let Some(e) = exporter {
-                e.stop();
-            }
-            if let Some(t) = telemetry {
-                t.stop();
-            }
+            serve(
+                &opts,
+                &sigint,
+                opts.run_secs.min(opts.ops / 100 + 10),
+                &[&h],
+            );
             report_client(h.try_shutdown().expect("client joins"));
         }
         "all" => {
@@ -451,18 +402,9 @@ fn main() {
                 .chain(replica_hs.iter())
                 .chain(client_hs.iter())
                 .collect();
-            let exporter = start_exporter(&opts, &handles);
-            let telemetry = start_telemetry(&opts, &handles);
-            if serve(&sigint, (opts.ops / 1000 + 3).min(opts.run_secs)) {
-                write_flight(&handles, "sigint");
-            }
+            let secs = (opts.ops / 1000 + 3).min(opts.run_secs);
+            serve(&opts, &sigint, secs, &handles);
             drop(handles);
-            if let Some(e) = exporter {
-                e.stop();
-            }
-            if let Some(t) = telemetry {
-                t.stop();
-            }
             for h in client_hs {
                 report_client(h.try_shutdown().expect("client joins"));
             }

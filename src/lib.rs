@@ -23,15 +23,15 @@
 //! |---|---|---|
 //! | [`wire`] | `neo-wire` | identifiers, aom header, framing |
 //! | [`crypto`] | `neo-crypto` | digests, MACs, Ed25519/secp256k1, cost meter |
-//! | [`sim`] | `neo-sim` | deterministic discrete-event simulator |
+//! | [`sim`] | `neo-sim` | deterministic discrete-event simulator; the per-node registry and the `NodeReport` every view of a node is a function of |
 //! | [`switch`] | `neo-switch` | Tofino + FPGA models, resource tables |
 //! | [`aom`] | `neo-aom` | sequencer, receiver library, config service |
 //! | [`core`] | `neo-core` | the NeoBFT replica and client |
 //! | [`baselines`] | `neo-baselines` | PBFT, Zyzzyva, HotStuff, MinBFT |
 //! | [`app`] | `neo-app` | echo/KV applications, YCSB workloads |
 //! | [`store`] | `neo-store` | durable WAL + checkpoint backends (file, mem) |
-//! | [`bench`] | `neo-bench` | the experiment harness behind every figure |
-//! | [`runtime`] | this crate | tokio/UDP transport for real deployments |
+//! | [`bench`] | `neo-bench` | the experiment harness behind every figure, the request-trace assembler, `neo-top` and `neo-trace` |
+//! | [`runtime`] | this crate | tokio/UDP transport for real deployments; node handles are its source of reports |
 
 pub use neo_aom as aom;
 pub use neo_app as app;

@@ -32,19 +32,20 @@
 //! overflow sharing `runtime.send_failed.other`).
 //!
 //! Observability: spawn with [`try_spawn_node_with_obs`] and
-//! [`ObsConfig::flight_recorder`] to keep per-node event/packet rings
-//! ([`NodeHandle::flight`] freezes them into a dump), and attach an
-//! [`ObsExporter`] to stream periodic [`ObsStreamLine`] JSONL. For live
-//! scraping, build a [`RuntimeTelemetry`] provider over the deployment's
-//! handles and serve it with a
-//! [`TelemetryServer`](neo_sim::telemetry::TelemetryServer): `/metrics`
-//! snapshots each registry at request time, `/health` reads the
-//! [`HealthReport`] each node loop publishes every `HEALTH_REFRESH`.
+//! [`ObsConfig::flight_recorder`] to keep per-node event/packet rings.
+//! Every view of a running node is its [`NodeReport`]
+//! ([`NodeHandle::report`]); a [`NodeReporter`] is the reading half of a
+//! handle and a [`ReportSource`], as is a `Vec` of them — hand that
+//! to a [`TelemetryServer`](neo_sim::telemetry::TelemetryServer) for live
+//! scraping, or to an [`ObsExporter`] to stream periodic JSONL. A report
+//! snapshots the registry when it is asked for; what only the node loop
+//! can see (the protocol's own health, the verify stage) it publishes
+//! every `HEALTH_REFRESH`.
 
 use neo_sim::obs::{
-    EventKind, HealthReport, Metrics, MetricsSnapshot, NodeFlight, ObsConfig, ObsStreamLine,
+    write_jsonl, ExecSignals, Metrics, MetricsSnapshot, NodeHealth, NodeReport, ObsConfig,
+    ReportSource, TraceRead,
 };
-use neo_sim::telemetry::TelemetryProvider;
 use neo_sim::{Context, Node, TimerId};
 use neo_wire::{Addr, ClientId, GroupId, Payload, ReplicaId};
 use std::cmp::Reverse;
@@ -304,14 +305,47 @@ impl Deployment {
     }
 }
 
+/// What a node loop publishes for its reports: the state only it can see.
+type Published = Mutex<(Option<NodeHealth>, ExecSignals)>;
+
+/// The reading half of a [`NodeHandle`]: builds the node's [`NodeReport`]
+/// on request, is cheap to clone, and stays valid after the handle shut
+/// down (the last published state keeps being served).
+#[derive(Clone)]
+pub struct NodeReporter {
+    addr: Addr,
+    start: Instant,
+    metrics: Arc<Metrics>,
+    published: Arc<Published>,
+}
+
+impl NodeReporter {
+    /// The node's report now, on the clock its events carry (nanoseconds
+    /// since the node started): the registry is snapshotted here, the
+    /// protocol and verify-stage health are what the loop last published.
+    pub fn report(&self, trace: TraceRead) -> NodeReport {
+        let (protocol, exec) = match self.published.lock() {
+            Ok(g) => g.clone(),
+            Err(p) => p.into_inner().clone(),
+        };
+        let at = self.start.elapsed().as_nanos() as u64;
+        NodeReport::build(at, self.addr, &self.metrics, protocol, exec, trace)
+    }
+}
+
+impl ReportSource for NodeReporter {
+    fn reports(&self) -> Vec<NodeReport> {
+        vec![self.report(TraceRead::Copy)]
+    }
+}
+
 /// Handle to a spawned node; dropping does not stop it — call
 /// [`NodeHandle::try_shutdown`].
 pub struct NodeHandle {
     stop: Arc<AtomicBool>,
     poisoned: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<Box<dyn Node>>>,
-    metrics: Arc<Metrics>,
-    health: Arc<Mutex<HealthReport>>,
+    reporter: NodeReporter,
     /// The node's logical address.
     pub addr: Addr,
 }
@@ -344,85 +378,28 @@ impl NodeHandle {
 
     /// The node's live metrics registry (readable while the node runs).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.reporter.metrics
     }
 
     /// Snapshot the node's metrics.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.reporter.metrics.snapshot()
     }
 
-    /// Freeze this node's flight-recorder rings (recent events and
-    /// packet digests) plus its metrics — readable while the node runs.
-    pub fn flight(&self) -> NodeFlight {
-        self.metrics.flight(self.addr)
+    /// The node's report now, rings copied — readable while the node runs.
+    pub fn report(&self) -> NodeReport {
+        self.reporter.report(TraceRead::Copy)
     }
 
-    /// This node's `(address, registry)` pair, for wiring into an
+    /// The reading half of this handle, for a [`ReportSource`] or an
     /// [`ObsExporter`].
-    pub fn obs_source(&self) -> (Addr, Arc<Metrics>) {
-        (self.addr, self.metrics.clone())
-    }
-}
-
-/// A [`TelemetryProvider`] over spawned node handles: `/metrics` scrapes
-/// snapshot each node's live registry at request time; `/health` reads
-/// the health documents the node loops publish. Build one from the
-/// deployment's handles and hand it to a
-/// [`neo_sim::TelemetryServer`](neo_sim::telemetry::TelemetryServer).
-#[derive(Default)]
-pub struct RuntimeTelemetry {
-    nodes: Vec<(String, Arc<Metrics>, Arc<Mutex<HealthReport>>)>,
-}
-
-impl RuntimeTelemetry {
-    /// An empty provider; `add` each handle before starting the server.
-    pub fn new() -> Self {
-        RuntimeTelemetry::default()
-    }
-
-    /// Register `handle`'s registry and health slot. The provider stays
-    /// valid after the handle shuts down (the final published state
-    /// keeps being served).
-    pub fn add(&mut self, handle: &NodeHandle) {
-        self.nodes.push((
-            handle.addr.to_string(),
-            handle.metrics.clone(),
-            handle.health.clone(),
-        ));
-    }
-
-    /// Provider over every handle in `handles`.
-    pub fn from_handles<'a>(handles: impl IntoIterator<Item = &'a NodeHandle>) -> Self {
-        let mut t = RuntimeTelemetry::new();
-        for h in handles {
-            t.add(h);
-        }
-        t
-    }
-}
-
-impl TelemetryProvider for RuntimeTelemetry {
-    fn scrape(&self) -> Vec<(String, MetricsSnapshot)> {
-        self.nodes
-            .iter()
-            .map(|(name, metrics, _)| (name.clone(), metrics.snapshot()))
-            .collect()
-    }
-
-    fn health(&self) -> Vec<HealthReport> {
-        self.nodes
-            .iter()
-            .map(|(_, _, health)| match health.lock() {
-                Ok(g) => g.clone(),
-                Err(p) => p.into_inner().clone(),
-            })
-            .collect()
+    pub fn reporter(&self) -> NodeReporter {
+        self.reporter.clone()
     }
 }
 
 /// Live metrics exporter: a background thread that appends one
-/// [`ObsStreamLine`] JSON line per node per period to a file. Each line
+/// [`NodeReport`] JSON line per node per period to a file. Each line
 /// drains that node's trace ring, so the stream's lines concatenate
 /// into a complete bounded-loss event log of the run.
 pub struct ObsExporter {
@@ -435,11 +412,10 @@ impl ObsExporter {
     /// `period`. File-open errors surface here; later write errors stop
     /// the stream without disturbing the nodes.
     pub fn start(
-        nodes: Vec<(Addr, Arc<Metrics>)>,
+        nodes: Vec<NodeReporter>,
         path: &std::path::Path,
         period: Duration,
     ) -> std::io::Result<ObsExporter> {
-        use std::io::Write;
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -448,7 +424,6 @@ impl ObsExporter {
         let join = std::thread::Builder::new()
             .name("obs-exporter".into())
             .spawn(move || {
-                let start = Instant::now();
                 let mut w = std::io::BufWriter::new(file);
                 loop {
                     // recv_timeout is the ticker *and* the stop signal:
@@ -458,22 +433,9 @@ impl ObsExporter {
                         rx.recv_timeout(period),
                         Err(std::sync::mpsc::RecvTimeoutError::Timeout)
                     );
-                    let at = start.elapsed().as_nanos() as u64;
-                    for (addr, metrics) in &nodes {
-                        let line = ObsStreamLine {
-                            at,
-                            node: *addr,
-                            snapshot: metrics.snapshot(),
-                            events: metrics.take_trace(),
-                        };
-                        let ok = serde_json::to_writer(&mut w, &line).is_ok()
-                            && w.write_all(b"\n").is_ok();
-                        if !ok {
-                            return;
-                        }
-                    }
-                    let _ = w.flush();
-                    if stopping {
+                    let reports: Vec<NodeReport> =
+                        nodes.iter().map(|n| n.report(TraceRead::Drain)).collect();
+                    if write_jsonl(&mut w, &reports).is_err() || stopping {
                         return;
                     }
                 }
@@ -568,28 +530,26 @@ pub fn try_spawn_node_with_obs(
         .map_err(|source| RuntimeError::Bind { addr: me, source })?;
     sock.set_nonblocking(true)
         .map_err(|source| RuntimeError::Bind { addr: me, source })?;
-    let metrics = Arc::new(Metrics::new(obs));
     let stop = Arc::new(AtomicBool::new(false));
     let poisoned = Arc::new(AtomicBool::new(false));
-    let health = Arc::new(Mutex::new(HealthReport {
-        node: me.to_string(),
-        healthy: true,
-        ..HealthReport::default()
-    }));
+    let reporter = NodeReporter {
+        addr: me,
+        start: Instant::now(),
+        metrics: Arc::new(Metrics::new(obs)),
+        published: Arc::default(),
+    };
     let stop2 = stop.clone();
     let poisoned2 = poisoned.clone();
-    let metrics2 = metrics.clone();
-    let health2 = health.clone();
+    let reporter2 = reporter.clone();
     let join = std::thread::Builder::new()
         .name(format!("{me}"))
-        .spawn(move || run_node(node, me, book, sock, stop2, poisoned2, metrics2, health2))
+        .spawn(move || run_node(node, book, sock, stop2, poisoned2, reporter2))
         .map_err(RuntimeError::Spawn)?;
     Ok(NodeHandle {
         stop,
         poisoned,
         join: Some(join),
-        metrics,
-        health,
+        reporter,
         addr: me,
     })
 }
@@ -634,9 +594,9 @@ fn drain_effects(
     ctx.clear_effects();
 }
 
-/// How often the node loop refreshes its published [`HealthReport`]
-/// (scrape cadence is seconds; the refresh snapshots the registry, so it
-/// runs at a coarse cadence instead of per batch).
+/// How often the node loop refreshes what it publishes for its reports
+/// (scrape cadence is seconds; the refresh asks the node for its health,
+/// so it runs at a coarse cadence instead of per batch).
 const HEALTH_REFRESH: Duration = Duration::from_millis(200);
 
 /// Cardinality bound for `runtime.send_failed.<addr>`: the first few
@@ -710,51 +670,39 @@ impl Outbox<'_> {
     }
 }
 
-/// Refresh the shared health document from the node's current state.
-fn publish_health(
+/// Refresh what the node's reports say of its protocol state and its
+/// verify stage.
+fn publish(
     node: &dyn Node,
-    me: Addr,
-    metrics: &Metrics,
     verify_pool: Option<&Arc<neo_crypto::VerifyPool>>,
     verify_poisoned: bool,
-    health: &Mutex<HealthReport>,
+    published: &Published,
 ) {
-    let snap = metrics.snapshot();
-    let protocol = node.health();
-    // Healthy = the verify stage is intact and the protocol layer (if it
-    // reports one) is not mid-recovery.
-    let healthy = !verify_poisoned
-        && protocol
-            .as_ref()
-            .and_then(|p| p.recovery_phase.as_deref())
-            .is_none_or(|phase| phase == "active");
-    let report = HealthReport {
-        node: me.to_string(),
-        healthy,
-        committed: snap.event(EventKind::Commit),
+    let exec = ExecSignals {
         verify_queue_depth: verify_pool.map_or(0, |p| p.queue_depth() as u64),
         verify_in_flight: verify_pool.map_or(0, |p| p.in_flight() as u64),
         verify_poisoned,
-        fsync_p99_ns: snap.histograms.get("store.fsync_ns").map_or(0, |h| h.p99),
-        protocol,
     };
-    *match health.lock() {
+    *match published.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
-    } = report;
+    } = (node.health(), exec);
 }
 
-#[allow(clippy::too_many_arguments)] // one shared slot per observability plane
 fn run_node(
     mut node: Box<dyn Node>,
-    me: Addr,
     book: AddressBook,
     sock: std::net::UdpSocket,
     stop: Arc<AtomicBool>,
     poisoned: Arc<AtomicBool>,
-    metrics: Arc<Metrics>,
-    health: Arc<Mutex<HealthReport>>,
+    reporter: NodeReporter,
 ) -> Box<dyn Node> {
+    let NodeReporter {
+        addr: me,
+        start,
+        metrics,
+        published,
+    } = reporter;
     let rt = tokio::runtime::Builder::new_current_thread()
         .enable_all()
         .build()
@@ -767,7 +715,6 @@ fn run_node(
                 return node;
             }
         };
-        let start = Instant::now();
         let mut timers = TimerHeap::new();
         let mut timer_seq = 0u64;
         let mut cancelled: HashSet<TimerId> = HashSet::new();
@@ -924,18 +871,16 @@ fn run_node(
             }
             out.release(node.as_mut()).await;
 
-            // Telemetry: refresh the published health document at a
-            // coarse cadence (before the busy-path `continue`, so a
-            // saturated node still reports).
+            // Telemetry: refresh the published health at a coarse
+            // cadence (before the busy-path `continue`, so a saturated
+            // node still reports).
             if last_health.is_none_or(|t| t.elapsed() >= HEALTH_REFRESH) {
                 last_health = Some(Instant::now());
-                publish_health(
+                publish(
                     node.as_ref(),
-                    me,
-                    &metrics,
                     verify_pool.as_ref(),
                     poisoned.load(Ordering::SeqCst),
-                    &health,
+                    &published,
                 );
             }
 
@@ -965,13 +910,11 @@ fn run_node(
         }
         // Final publication: a scrape after shutdown sees the node's
         // last state, not a 200ms-stale one.
-        publish_health(
+        publish(
             node.as_ref(),
-            me,
-            &metrics,
             verify_pool.as_ref(),
             poisoned.load(Ordering::SeqCst),
-            &health,
+            &published,
         );
         node
     })
@@ -1154,6 +1097,59 @@ mod tests {
         let mut buf = [0u8; 8];
         peer.recv_from(&mut buf).expect("a datagram arrives");
         buf[0]
+    }
+
+    #[test]
+    fn the_hub_and_the_handles_report_one_registry_alike() {
+        // Both sources, fed the same registry and the same protocol
+        // health, yield the same report: there is one constructor, and
+        // neither executor adds a definition of `healthy` of its own.
+        let me = Addr::Replica(ReplicaId(2));
+        let metrics = Arc::new(Metrics::new(ObsConfig::flight_recorder()));
+        metrics.add("replica.messages_in", 3);
+        metrics.observe("store.fsync_ns", 40);
+        let commit = neo_sim::obs::Event::Commit {
+            slot: 4,
+            client: 1,
+            request: 9,
+        };
+        metrics.record_event(50, me, commit);
+        metrics.record_packet(40, Addr::Config, me, b"cfg");
+        let protocol = Some(NodeHealth {
+            role: "replica".into(),
+            recovery_phase: Some("replaying".into()),
+            last_exec: 5,
+            ..NodeHealth::default()
+        });
+        let exec = ExecSignals::default();
+
+        let hub = neo_sim::TelemetryHub::default();
+        hub.publish(vec![NodeReport::build(
+            77,
+            me,
+            &metrics,
+            protocol.clone(),
+            exec,
+            TraceRead::Copy,
+        )]);
+        let handles = vec![NodeReporter {
+            addr: me,
+            start: Instant::now(),
+            metrics,
+            published: Arc::new(Mutex::new((protocol, exec))),
+        }];
+
+        let from_hub = hub.reports();
+        let mut from_handles = handles.reports();
+        assert_eq!((from_hub.len(), from_handles.len()), (1, 1));
+        assert_ne!(from_handles[0].at, 77, "a handle reports on its own clock");
+        from_handles[0].at = 77;
+        assert_eq!(from_hub, from_handles);
+        let health = from_hub[0].health.as_ref().expect("health built");
+        assert!(!health.healthy, "mid-recovery on both sides");
+        assert_eq!((health.committed, health.fsync_p99_ns), (1, 40));
+        assert_eq!(from_hub[0].events.len(), 1);
+        assert_eq!(from_hub[0].packets.len(), 1);
     }
 
     #[test]

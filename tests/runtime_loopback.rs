@@ -423,7 +423,7 @@ fn send_failures_are_labeled_and_flight_recorder_captures_packets() {
     let stream_path = std::env::temp_dir().join(format!("obs-stream-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&stream_path);
     let exporter = ObsExporter::start(
-        vec![recorder_h.obs_source(), sender_h.obs_source()],
+        vec![recorder_h.reporter(), sender_h.reporter()],
         &stream_path,
         Duration::from_millis(25),
     )
@@ -432,7 +432,7 @@ fn send_failures_are_labeled_and_flight_recorder_captures_packets() {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         std::thread::sleep(Duration::from_millis(50));
-        let delivered = !recorder_h.flight().packets.is_empty();
+        let delivered = !recorder_h.report().packets.is_empty();
         let failed = sender_h.metrics().counter("runtime_send_failed") >= 2;
         if (delivered && failed) || Instant::now() > deadline {
             break;
@@ -447,8 +447,8 @@ fn send_failures_are_labeled_and_flight_recorder_captures_packets() {
     assert!(!snap.counters.contains_key("runtime.send_failed.r1"));
 
     // The receive path digested the delivered datagram.
-    let flight = recorder_h.flight();
-    let pkt = flight.packets.last().expect("packet digested");
+    let report = recorder_h.report();
+    let pkt = report.packets.last().expect("packet digested");
     assert_eq!(
         (pkt.from, pkt.to, pkt.len),
         (dep.replica(0), dep.replica(1), 1)
@@ -456,10 +456,10 @@ fn send_failures_are_labeled_and_flight_recorder_captures_packets() {
     assert_eq!(pkt.digest, neobft::sim::obs::fnv1a(b"Y"));
 
     // Stopping the exporter flushes a final batch; the stream parses as
-    // one ObsStreamLine per node per tick.
+    // one NodeReport per node per tick.
     exporter.stop();
     let text = std::fs::read_to_string(&stream_path).expect("stream written");
-    let lines: Vec<neobft::sim::obs::ObsStreamLine> = text
+    let lines: Vec<neobft::sim::obs::NodeReport> = text
         .lines()
         .map(|l| serde_json::from_str(l).expect("valid JSONL"))
         .collect();
@@ -504,7 +504,7 @@ fn scraped_commits(body: &str, node: &str) -> u64 {
 
 #[test]
 fn telemetry_endpoint_serves_live_scrapes_and_health() {
-    use neobft::runtime::RuntimeTelemetry;
+    use neobft::sim::obs::NodeReport;
     use neobft::sim::TelemetryServer;
 
     // Same full loopback stack as `loopback_group_commits_requests`,
@@ -561,14 +561,14 @@ fn telemetry_endpoint_serves_live_scrapes_and_health() {
         .spawn(Box::new(client), dep.client(0))
         .expect("client spawns");
 
-    let mut provider = RuntimeTelemetry::from_handles(replica_hs.iter());
-    provider.add(&seq_h);
-    provider.add(&config_h);
-    provider.add(&client_h);
+    let source: Vec<_> = replica_hs
+        .iter()
+        .chain([&seq_h, &config_h, &client_h])
+        .map(|h| h.reporter())
+        .collect();
     // Port 0: the OS picks a free port, so this test cannot collide
     // with the fixed loopback port ranges used elsewhere in this file.
-    let server =
-        TelemetryServer::start("127.0.0.1:0", Arc::new(provider)).expect("telemetry binds");
+    let server = TelemetryServer::start("127.0.0.1:0", Arc::new(source)).expect("telemetry binds");
     let addr = server.local_addr();
 
     // First scrape as soon as anything commits; second after the full
@@ -621,6 +621,30 @@ fn telemetry_endpoint_serves_live_scrapes_and_health() {
         r0["protocol"]["role"].as_str(),
         Some("replica"),
         "protocol doc: {r0}"
+    );
+
+    // The JSON route serves the same reports the other two render: with
+    // the client done, replica 0's commit count reads the same on all.
+    let (head, body) = http_get(addr, "/reports");
+    assert!(head.starts_with("HTTP/1.1 200"), "reports ok: {head}");
+    let reports: Vec<NodeReport> = serde_json::from_str(&body).expect("reports are JSON");
+    assert_eq!(reports.len(), n + 3);
+    let r0_report = reports
+        .iter()
+        .find(|r| r.node == dep.replica(0))
+        .expect("replica 0 reports");
+    let (_, metrics) = http_get(addr, "/metrics");
+    assert_eq!(
+        r0_report
+            .snapshot
+            .event(neobft::sim::obs::EventKind::Commit),
+        scraped_commits(&metrics, "r0"),
+        "/reports and /metrics agree"
+    );
+    assert_eq!(
+        r0_report.health.as_ref().map(|h| h.committed),
+        r0["committed"].as_u64(),
+        "/reports and /health agree"
     );
 
     drop(server);

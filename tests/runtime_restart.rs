@@ -46,6 +46,17 @@ fn commits(h: &neobft::runtime::NodeHandle) -> u64 {
         .event(neobft::sim::obs::EventKind::Commit)
 }
 
+/// The execution cursor (`NodeHealth::last_exec`, an absolute slot) in
+/// the node's report. Read after the node has shut down it is the loop's
+/// final publication, i.e. the replica's state as it stopped.
+fn exec_cursor(node: &neobft::runtime::NodeReporter) -> u64 {
+    node.report(neobft::sim::TraceRead::Copy)
+        .health
+        .and_then(|h| h.protocol)
+        .expect("a replica reports its protocol health")
+        .last_exec
+}
+
 /// Poll until `done` returns true or the deadline passes; panics with
 /// `what` on timeout so failures name the phase that hung.
 fn await_phase(what: &str, mut done: impl FnMut() -> bool) {
@@ -121,6 +132,7 @@ fn killed_replica_rejoins_from_certified_checkpoint_over_loopback() {
 
     // Kill the victim. Dropping the node loop closes its socket; the
     // surviving trio is exactly the 2f + 1 quorum, so commits continue.
+    let victim_reports = replica_hs[VICTIM].as_ref().unwrap().reporter();
     let node = replica_hs[VICTIM]
         .take()
         .unwrap()
@@ -135,7 +147,11 @@ fn killed_replica_rejoins_from_certified_checkpoint_over_loopback() {
         victim.stable_checkpoint_slot().is_some(),
         "victim holds a stable checkpoint at crash time"
     );
-    let executed_at_crash = victim.stats.executed;
+    // What survives a restart is the cursor, an absolute slot:
+    // `stats.executed` counts the operations one `Replica` object ran and
+    // starts from zero again, at a later base, in the restarted one.
+    let cursor_at_crash = exec_cursor(&victim_reports);
+    assert_eq!(cursor_at_crash, victim.exec_cursor().0);
     drop(node);
 
     // Phase 2: the remaining three replicas make progress while the
@@ -181,7 +197,11 @@ fn killed_replica_rejoins_from_certified_checkpoint_over_loopback() {
     // expected reply for every request id in issue order.
     let node = client_h.try_shutdown().expect("client joins");
     let client = node.as_any().downcast_ref::<Client>().unwrap();
-    assert_eq!(client.completed.len(), OPS, "all ops commit despite the crash");
+    assert_eq!(
+        client.completed.len(),
+        OPS,
+        "all ops commit despite the crash"
+    );
     let mut completed = client.completed.clone();
     completed.sort_by_key(|op| op.request_id.0);
     let mut baseline = EchoWorkload::new(32, 7);
@@ -206,6 +226,7 @@ fn killed_replica_rejoins_from_certified_checkpoint_over_loopback() {
         .get("replica.recovery_ns")
         .map(|h| h.sum)
         .unwrap_or(0);
+    let rejoined_reports = replica_hs[VICTIM].as_ref().unwrap().reporter();
     let node = replica_hs[VICTIM]
         .take()
         .unwrap()
@@ -228,21 +249,26 @@ fn killed_replica_rejoins_from_certified_checkpoint_over_loopback() {
         rejoined.stable_checkpoint_slot().is_some(),
         "victim holds a stable checkpoint after rejoining"
     );
+    let cursor_after_rejoin = exec_cursor(&rejoined_reports);
     assert!(
-        rejoined.stats.executed >= executed_at_crash,
+        cursor_after_rejoin >= cursor_at_crash,
         "rejoined victim is at least as far as it was at crash time \
-         ({} < {executed_at_crash})",
-        rejoined.stats.executed
+         ({cursor_after_rejoin} < {cursor_at_crash})"
     );
     println!(
-        "restart: base slot {}, executed {} -> {}, recovery {recovery_ns} ns",
-        base.0, executed_at_crash, rejoined.stats.executed
+        "restart: base slot {}, cursor {cursor_at_crash} -> {cursor_after_rejoin}, \
+         recovery {recovery_ns} ns",
+        base.0
     );
 
     // Safety: wherever the rejoined victim and replica 0 both executed a
     // slot, their digests agree — and they overlap on a non-trivial
     // suffix, proving the victim really caught up.
-    let node = replica_hs[0].take().unwrap().try_shutdown().expect("r0 joins");
+    let node = replica_hs[0]
+        .take()
+        .unwrap()
+        .try_shutdown()
+        .expect("r0 joins");
     let r0 = node.as_any().downcast_ref::<Replica>().unwrap();
     let mut overlap = 0usize;
     for (slot, (a, b)) in r0
